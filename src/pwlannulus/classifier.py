@@ -88,12 +88,19 @@ def check_H(d: DerivedQuantities) -> tuple[bool, list[ConditionRecord]]:
     return crossing_ok and left_ok and right_ok, records
 
 
+def _centers(d: DerivedQuantities, tol: float) -> tuple[bool, bool]:
+    """(center_left, center_right): the one-zone linear-center clauses."""
+    ts = tol * _scale(d.TL, d.TR)
+    return (abs(d.TL) <= ts and d.DL > 0.0 and d.aL < 0.0,
+            abs(d.TR) <= ts and d.DR > 0.0 and d.aR > 0.0)
+
+
 def trivial_centers(d: DerivedQuantities, tol: float = DEFAULT_TOL) -> Verdict | None:
     """One-zone linear-center verdicts; the left takes precedence when both hold."""
-    ts = tol * _scale(d.TL, d.TR)
-    if abs(d.TL) <= ts and d.DL > 0.0 and d.aL < 0.0:
+    center_left, center_right = _centers(d, tol)
+    if center_left:
         return Verdict.LINEAR_CENTER_LEFT
-    if abs(d.TR) <= ts and d.DR > 0.0 and d.aR > 0.0:
+    if center_right:
         return Verdict.LINEAR_CENTER_RIGHT
     return None
 
@@ -121,9 +128,7 @@ def classify(p: SystemParams, tol: float = DEFAULT_TOL) -> Classification:
     d = derive_invariants(p)
     records: list[ConditionRecord] = []
 
-    trace_scale = tol * _scale(d.TL, d.TR)
-    center_left = abs(d.TL) <= trace_scale and d.DL > 0.0 and d.aL < 0.0
-    center_right = abs(d.TR) <= trace_scale and d.DR > 0.0 and d.aR > 0.0
+    center_left, center_right = _centers(d, tol)
     records.append(ConditionRecord("center-left", d.TL, center_left))
     records.append(ConditionRecord("center-right", d.TR, center_right))
 
@@ -131,6 +136,7 @@ def classify(p: SystemParams, tol: float = DEFAULT_TOL) -> Classification:
     records.extend(h_records)
     crossing_ok = d.a12_product > 0.0
 
+    trace_scale = tol * _scale(d.TL, d.TR)
     s_tl = _sign_with_tol(d.TL, trace_scale)
     s_tr = _sign_with_tol(d.TR, trace_scale)
     trace_ok = s_tr == -s_tl

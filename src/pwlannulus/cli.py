@@ -16,7 +16,7 @@ Input is a JSON object in one of two mutually exclusive schemas:
 
 Unknown keys are rejected.  Every flag has an environment-variable override
 with the PWLANNULUS_ prefix (flags win).  Exit codes: 0 success (any verdict),
-1 malformed input, 2 precondition violations.
+1 malformed input, 2 precondition violations and other typed PwlErrors.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import classifier, displacement, halfmap, oracle
-from .errors import (CanonicalizationError, DomainError, EmptyDomainError,
-                     NoReturnError, PwlError, TangencyError)
+from .errors import DomainError, NoReturnError, PwlError, TangencyError
 from .params import SystemParams, from_canonical, to_canonical
 
 ENV_PREFIX = "PWLANNULUS_"
@@ -217,28 +216,16 @@ def _run_classify(cfg: RunConfig, p: SystemParams, out) -> int:
     return EXIT_OK
 
 
-def _context_or_exit(cfg: RunConfig, p: SystemParams, out):
-    """Common canonicalization for the map-table commands; exits with 2 on failure."""
+def _context(p: SystemParams) -> displacement.DisplacementContext:
+    """Displacement context of the canonical form, shared by the map-table commands."""
     canon = to_canonical(p)
-    for side, h in (("left", canon.left), ("right", canon.right)):
-        if not halfmap.exists(h):
-            raise DomainError(f"{side} half-map does not exist (existence clause fails)")
-    ctx = displacement.make_context(canon.left, canon.right, canon.b)
-    if ctx.is_empty:
-        raise EmptyDomainError("the common half-map domain is empty")
-    return canon, ctx
-
-
-def _grid_points(ctx, cfg) -> list[float]:
-    lo, hi = displacement.scan_window(ctx, span=cfg.span)
-    step = (hi - lo) / cfg.grid
-    return [lo + i * step for i in range(cfg.grid)]
+    return displacement.make_context(canon.left, canon.right, canon.b)
 
 
 def _run_halfmap(cfg: RunConfig, p: SystemParams, out) -> int:
-    canon, ctx = _context_or_exit(cfg, p, out)
+    ctx = _context(p)
     rows = []
-    for y0 in _grid_points(ctx, cfg):
+    for y0 in displacement.scan_grid(ctx, cfg.grid, span=cfg.span):
         y_left = halfmap.evaluate(ctx.left, y0)
         y_right = halfmap.evaluate(ctx.right, y0 - ctx.b) + ctx.b
         try:
@@ -265,10 +252,10 @@ def _run_halfmap(cfg: RunConfig, p: SystemParams, out) -> int:
 
 
 def _run_displacement(cfg: RunConfig, p: SystemParams, out) -> int:
-    canon, ctx = _context_or_exit(cfg, p, out)
+    ctx = _context(p)
     annulus_tol = cfg.tolerances.get("annulus", displacement.ANNULUS_TOL)
     rows = []
-    for y0 in _grid_points(ctx, cfg):
+    for y0 in displacement.scan_grid(ctx, cfg.grid, span=cfg.span):
         d = displacement.delta(ctx, y0)
         f_sign = None
         if ctx.b == 0.0 and abs(d) <= displacement.DELTA_ZERO_TOL * max(1.0, abs(y0)):
@@ -292,10 +279,10 @@ def _run_displacement(cfg: RunConfig, p: SystemParams, out) -> int:
 
 
 def _run_portrait(cfg: RunConfig, p: SystemParams, out) -> int:
-    canon, ctx = _context_or_exit(cfg, p, out)
+    ctx = _context(p)
     lo, hi = displacement.scan_window(ctx, span=cfg.span)
-    zl = oracle.ZoneFlow(T=canon.left.T, D=canon.left.D, a=canon.left.a, b=0.0)
-    zr = oracle.ZoneFlow(T=canon.right.T, D=canon.right.D, a=canon.right.a, b=canon.b)
+    zl = oracle.ZoneFlow(T=ctx.left.T, D=ctx.left.D, a=ctx.left.a, b=0.0)
+    zr = oracle.ZoneFlow(T=ctx.right.T, D=ctx.right.D, a=ctx.right.a, b=ctx.b)
     rows = []
     for i in range(PORTRAIT_ORBITS):
         y0 = lo + (hi - lo) * (i + 1) / (PORTRAIT_ORBITS + 1)
@@ -363,7 +350,7 @@ def run(cfg: RunConfig, out=None) -> int:
         return EXIT_BAD_INPUT
     try:
         return _RUNNERS[cfg.command](cfg, params, out)
-    except (CanonicalizationError, DomainError, EmptyDomainError, PwlError) as exc:
+    except PwlError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

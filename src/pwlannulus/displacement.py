@@ -116,39 +116,37 @@ def _sign(x: float) -> int:
     return 0
 
 
-def _require_zero(ctx, y0, y1, zero_tol):
+def _require_zero(ctx, y0, y1):
     if ctx.b != 0.0:
         raise PreconditionError("derivative-sign formulas require b = 0")
     if not (ctx.lam < y0 < ctx.mu):
         raise ContractError("y0 must lie in the open domain interior")
     d = delta(ctx, y0)
-    if abs(d) > zero_tol * max(1.0, abs(y0)):
+    if abs(d) > DELTA_ZERO_TOL * max(1.0, abs(y0)):
         raise ContractError(f"delta(y0)={d} is not zero within tolerance")
     if y1 >= 0.0:
         raise ContractError("the shared map value y1 must be negative")
     yl = halfmap.evaluate(ctx.left, y0)
-    if abs(yl - y1) > zero_tol * max(1.0, abs(y1)):
+    if abs(yl - y1) > DELTA_ZERO_TOL * max(1.0, abs(y1)):
         raise ContractError("y1 does not match the half-map value at y0")
 
 
-def sign_delta_prime_at_zero(ctx: DisplacementContext, y0: float, y1: float, *,
-                             zero_tol: float = DELTA_ZERO_TOL) -> int:
+def sign_delta_prime_at_zero(ctx: DisplacementContext, y0: float, y1: float) -> int:
     """sign(delta'(y0)) at a zero of delta, from the closed-form F."""
-    _require_zero(ctx, y0, y1, zero_tol)
+    _require_zero(ctx, y0, y1)
     return _sign(f_value(ctx, y0, y1))
 
 
-def sign_delta_second_at_critical(ctx: DisplacementContext, y0: float, y1: float, *,
-                                  zero_tol: float = DELTA_ZERO_TOL,
-                                  prime_tol: float = DELTA_PRIME_TOL) -> tuple[int, int]:
+def sign_delta_second_at_critical(ctx: DisplacementContext, y0: float,
+                                  y1: float) -> tuple[int, int]:
     """Both closed-form expressions for sign(delta''(y0)) at a critical zero.
 
     The two components agree whenever the hypotheses hold; both are returned
     so callers can assert the agreement.
     """
-    _require_zero(ctx, y0, y1, zero_tol)
+    _require_zero(ctx, y0, y1)
     dp = delta_prime(ctx, y0)
-    if abs(dp) > prime_tol * max(1.0, abs(y0)):
+    if abs(dp) > DELTA_PRIME_TOL * max(1.0, abs(y0)):
         raise ContractError(f"delta'(y0)={dp} is not zero within tolerance")
     first = _sign(ctx.left.T * (ctx.c2 * y0 + ctx.c0))
     second = -_sign(ctx.right.T * (ctx.c2 * y1 + ctx.c0))
@@ -168,23 +166,29 @@ def scan_window(ctx: DisplacementContext, *, span: float | None = None) -> tuple
     return ctx.lam, hi
 
 
+def scan_grid(ctx: DisplacementContext, grid_n: int, *,
+              span: float | None = None) -> list[float]:
+    """The grid_n evenly spaced ordinates of the scan window, its upper end excluded."""
+    if grid_n < 2:
+        raise PreconditionError("grid_n must be at least 2")
+    lo, hi = scan_window(ctx, span=span)
+    step = (hi - lo) / grid_n
+    return [lo + i * step for i in range(grid_n)]
+
+
 def find_crossing_orbits(ctx: DisplacementContext, grid_n: int = DEFAULT_GRID, *,
                          span: float | None = None,
-                         annulus_tol: float = ANNULUS_TOL,
-                         refine_width: float = REFINE_WIDTH) -> list[CrossingOrbit]:
+                         annulus_tol: float = ANNULUS_TOL) -> list[CrossingOrbit]:
     """Zero scan of the displacement over a grid.
 
     Returns one ANNULUS_CANDIDATE when |delta| < annulus_tol * max(1, |y0|) at
     every grid point, else one ISOLATED entry per bracketed sign change,
     refined by bisection.
     """
-    if grid_n < 2:
-        raise PreconditionError("grid_n must be at least 2")
-    lo, hi = scan_window(ctx, span=span)
-    step = (hi - lo) / grid_n
-    ys = [lo + i * step for i in range(grid_n)]
+    ys = scan_grid(ctx, grid_n, span=span)
     ds = [delta(ctx, y) for y in ys]
     if all(abs(d) < annulus_tol * max(1.0, abs(y)) for y, d in zip(ys, ds)):
+        lo, hi = scan_window(ctx, span=span)
         return [CrossingOrbit(y0=lo + 0.5 * (hi - lo), kind=OrbitKind.ANNULUS_CANDIDATE)]
     orbits = []
     for (ya, da), (yb, db) in zip(zip(ys, ds), zip(ys[1:], ds[1:])):
@@ -195,7 +199,7 @@ def find_crossing_orbits(ctx: DisplacementContext, grid_n: int = DEFAULT_GRID, *
             continue
         if da * db < 0.0:
             a, b = ya, yb
-            while b - a > refine_width * max(1.0, abs(a)):
+            while b - a > REFINE_WIDTH * max(1.0, abs(a)):
                 m = 0.5 * (a + b)
                 dm = delta(ctx, m)
                 if dm == 0.0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import ConditioningWarning, ConvergenceError, DomainError
 
-# Module-level tolerance configuration (overridable per call).
+# Solver and conditioning constants.
 RESIDUAL_TOL = 1e-12   # accepted residual of the defining integral identity
 STEP_TOL = 1e-14       # relative Newton-step floor; polishes past RESIDUAL_TOL
 MU_GUARD = 1e-9        # relative standoff from the upper domain endpoint mu
@@ -121,7 +121,6 @@ class HalfMapDomain:
 
     lam: float
     mu: float
-    exists: bool = True
 
 
 def wpoly(h: HalfSystem) -> WPolynomial:
@@ -190,7 +189,10 @@ def _integral(a: float, T: float, D: float, w: WPolynomial, y1: float, y0: float
         den = (u0 + s) * (u1 - s)
         if den == 0.0:
             raise DomainError("integration endpoint sits on a W root")
-        return lead - coeff * math.log1p(2.0 * s * (u0 - u1) / den) / s
+        ratio = 2.0 * s * (u0 - u1) / den
+        if ratio <= -1.0:  # the cross-ratio rounded onto the root
+            raise DomainError("integration endpoint sits on a W root")
+        return lead - coeff * math.log1p(ratio) / s
     # D == 0: W is linear (T != 0) or constant (T == 0).
     if T == 0.0:
         return (y1 - y0) * (y1 + y0) / (2.0 * a * a)
@@ -218,7 +220,7 @@ def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
     return _integral(a, T, D, w, y1, y0)
 
 
-def _bracketed_newton(f, fprime, lo, hi, flo, fhi, residual_tol, step_tol, max_iter):
+def _bracketed_newton(f, fprime, lo, hi, flo, fhi):
     """Root of f on [lo, hi] with a sign change; bisection-safeguarded Newton.
 
     Converges on the residual first, then keeps polishing until the Newton
@@ -232,7 +234,7 @@ def _bracketed_newton(f, fprime, lo, hi, flo, fhi, residual_tol, step_tol, max_i
         raise ConvergenceError("root bracket does not straddle a sign change")
     pos_at_lo = flo > 0.0
     v = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         fv = f(v)
         if fv == 0.0:
             return v
@@ -241,20 +243,20 @@ def _bracketed_newton(f, fprime, lo, hi, flo, fhi, residual_tol, step_tol, max_i
         else:
             hi = v
         width = abs(hi - lo)
-        if width <= step_tol * max(1.0, abs(v)):
+        if width <= STEP_TOL * max(1.0, abs(v)):
             return v
         d = fprime(v)
         step = fv / d if d != 0.0 else math.inf
         cand = v - step
         if not (min(lo, hi) < cand < max(lo, hi)) or not math.isfinite(cand):
             cand = 0.5 * (lo + hi)
-        if abs(fv) <= residual_tol and abs(cand - v) <= step_tol * max(1.0, abs(v)):
+        if abs(fv) <= RESIDUAL_TOL and abs(cand - v) <= STEP_TOL * max(1.0, abs(v)):
             return cand
         v = cand
     raise ConvergenceError("half-map root-finding failed to converge")
 
 
-def _solve_lambda(a, T, D, w, q, residual_tol, step_tol):
+def _solve_lambda(a, T, D, w, q):
     """Left endpoint lam > 0: integral from 0 to lam equals q (< 0 here)."""
 
     def g(lam):
@@ -270,17 +272,27 @@ def _solve_lambda(a, T, D, w, q, residual_tol, step_tol):
         hi *= 2.0
     else:
         raise ConvergenceError("no upper bracket for the domain endpoint")
-    return _bracketed_newton(g, gp, 0.0, hi, -q, g(hi), residual_tol, step_tol, MAX_ITER)
+    return _bracketed_newton(g, gp, 0.0, hi, -q, g(hi))
 
 
-def domain(h: HalfSystem, *, residual_tol: float = RESIDUAL_TOL,
-           step_tol: float = STEP_TOL) -> HalfMapDomain:
+def domain(h: HalfSystem) -> HalfMapDomain:
     """Definition interval [lam, mu) of the half-map.
 
     mu is the smallest strictly positive root of W (math.inf when none).
     lam is zero except in the forward case a < 0, 4D - T^2 > 0, T < 0 (and its
     backward dual), where it solves the defining identity with map value 0.
+    Raises DomainError when the half-map does not exist.  The interval is
+    solved once per HalfSystem instance and kept on it; a solve that raises
+    keeps nothing, so the next call raises again.
     """
+    dom = h.__dict__.get("_domain")
+    if dom is None:
+        # written past the frozen __setattr__, as functools.cached_property does
+        dom = h.__dict__["_domain"] = _solve_domain(h)
+    return dom
+
+
+def _solve_domain(h: HalfSystem) -> HalfMapDomain:
     if not exists(h):
         raise DomainError("half-map does not exist for this triple")
     a, T, D = h.forward_triple()
@@ -289,8 +301,8 @@ def domain(h: HalfSystem, *, residual_tol: float = RESIDUAL_TOL,
     mu = min(pos) if pos else math.inf
     lam = 0.0
     if a < 0.0 and T < 0.0 and 4.0 * D - T * T > 0.0:
-        lam = _solve_lambda(a, T, D, w, q_value(h), residual_tol, step_tol)
-    return HalfMapDomain(lam=lam, mu=mu, exists=True)
+        lam = _solve_lambda(a, T, D, w, q_value(h))
+    return HalfMapDomain(lam=lam, mu=mu)
 
 
 def _lower_bracket(a, T, D, w, resid, y0):
@@ -332,15 +344,12 @@ def _lower_bracket(a, T, D, w, resid, y0):
     raise ConvergenceError("no lower bracket for the half-map value")
 
 
-def evaluate(h: HalfSystem, y0: float, *, residual_tol: float = RESIDUAL_TOL,
-             step_tol: float = STEP_TOL) -> float:
+def evaluate(h: HalfSystem, y0: float) -> float:
     """Half-map value y1 <= 0 at y0, solving the defining integral identity."""
-    if not exists(h):
-        raise DomainError("half-map does not exist for this triple")
+    dom = domain(h)
     if not math.isfinite(y0):
         raise DomainError("y0 must be finite")
     a, T, D = h.forward_triple()
-    dom = domain(h, residual_tol=residual_tol, step_tol=step_tol)
     if y0 < dom.lam or y0 >= dom.mu:
         raise DomainError(f"y0={y0} outside the domain [{dom.lam}, {dom.mu})")
     if math.isfinite(dom.mu) and y0 > dom.mu * (1.0 - MU_GUARD):
@@ -348,7 +357,13 @@ def evaluate(h: HalfSystem, y0: float, *, residual_tol: float = RESIDUAL_TOL,
                       ConditioningWarning, stacklevel=2)
         y0 = dom.mu * (1.0 - MU_GUARD)
     if a == 0.0:
-        return -math.exp(math.pi * T / math.sqrt(4.0 * D - T * T)) * y0
+        try:
+            y1 = -math.exp(math.pi * T / math.sqrt(4.0 * D - T * T)) * y0
+        except OverflowError:
+            y1 = -math.inf
+        if math.isinf(y1):
+            raise DomainError("half-map value exceeds the double range")
+        return y1
     w = wpoly(h)
     q = q_value(h)
 
@@ -362,14 +377,13 @@ def evaluate(h: HalfSystem, y0: float, *, residual_tol: float = RESIDUAL_TOL,
     if f0 >= 0.0:
         # No root below zero.  At y0 == lam the residual is solver noise and
         # the map value is exactly the endpoint value 0.
-        if f0 <= 100.0 * residual_tol:
+        if f0 <= 100.0 * RESIDUAL_TOL:
             return 0.0
         raise DomainError("y0 lies below the half-map domain")
     lo, flo = _lower_bracket(a, T, D, w, resid, y0)
     if flo is None:
         return lo
-    return _bracketed_newton(resid, resid_prime, lo, 0.0, flo, f0,
-                             residual_tol, step_tol, MAX_ITER)
+    return _bracketed_newton(resid, resid_prime, lo, 0.0, flo, f0)
 
 
 def derivative(h: HalfSystem, y0: float) -> float:
@@ -384,10 +398,10 @@ def derivative(h: HalfSystem, y0: float) -> float:
     return y0 * w(y1) / (y1 * w(y0))
 
 
-def sign_relation(h: HalfSystem, y0: float, *, snap: float = SIGN_SNAP) -> int:
+def sign_relation(h: HalfSystem, y0: float) -> int:
     """Sign of y0 + y(y0): -sign(T) forward, +sign(T) backward."""
     s = y0 + evaluate(h, y0)
-    if abs(s) <= snap * max(1.0, abs(y0)):
+    if abs(s) <= SIGN_SNAP * max(1.0, abs(y0)):
         return 0
     return 1 if s > 0.0 else -1
 

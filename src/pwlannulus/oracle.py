@@ -299,8 +299,7 @@ class _Profile:
         return self.env0 * math.exp(self.Sg * s) < abs(self.px) * (1.0 - 1e-15)
 
 
-def next_crossing(z: ZoneFlow, y0: float, direction: Orientation, *,
-                  crossing_tol: float = CROSSING_TOL) -> CrossingEvent:
+def next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEvent:
     """First return of the orbit through (0, y0) to the switching line.
 
     Forward direction travels the left zone (x < 0) in forward time; backward
@@ -320,7 +319,7 @@ def next_crossing(z: ZoneFlow, y0: float, direction: Orientation, *,
             raise PreconditionError("tangential start does not enter the zone")
 
     scale = max(1.0, abs(y0), abs(z.b), abs(prof.px))
-    tol = crossing_tol * scale
+    tol = CROSSING_TOL * scale
     xf, dxf = prof.xf, prof.dxf
 
     def finish(s_root: float) -> CrossingEvent:

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from pwlannulus import cli
+from pwlannulus import HalfSystem, Orientation, cli, make_context
+from pwlannulus.displacement import scan_grid
 
 
 def write_json(tmp_path, name, payload):
@@ -90,6 +91,28 @@ def test_displacement_reports_annulus(annulus_file):
     assert payload["zeros"] == [{"y0": pytest.approx(payload["zeros"][0]["y0"]),
                                  "kind": "annulus-candidate"}]
     assert all(abs(r["delta"]) < 1e-8 for r in payload["rows"])
+
+
+@pytest.mark.parametrize("command", ["halfmap", "displacement"])
+def test_table_rows_follow_the_scan_grid(annulus_file, command):
+    code, text = run_cli(["--input", annulus_file, "--cmd", command,
+                          "--grid", "16", "--span", "5.0"])
+    assert code == 0
+    ctx = make_context(HalfSystem(-2.0, -2.0, 4.0),
+                       HalfSystem(1.0, 1.0, 1.0, orientation=Orientation.BACKWARD))
+    assert [r["y0"] for r in json.loads(text)["rows"]] == scan_grid(ctx, 16, span=5.0)
+
+
+def test_half_map_overflow_exit(tmp_path, capsys):
+    # the left half-map has a = 0 and a slope exp(pi*T/sqrt(4D - T^2)) beyond
+    # the double range
+    path = write_json(tmp_path, "overflow.json", {
+        "TL": 1, "DL": 0.25000000000025, "aL": 0,
+        "TR": -1, "DR": 1, "aR": 1, "b": 0})
+    code, text = run_cli(["--input", path, "--cmd", "displacement"])
+    assert code == 2
+    assert text == ""
+    assert "half-map value exceeds the double range" in capsys.readouterr().err
 
 
 def test_portrait_samples(annulus_file):

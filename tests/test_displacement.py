@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pwlannulus import (CanonicalSystem, ContractError, DomainError,
                         EmptyDomainError, HalfSystem, Orientation, OrbitKind,
                         PreconditionError, delta, delta_prime, evaluate, f_value,
-                        find_crossing_orbits, make_context,
+                        find_crossing_orbits, halfmap, make_context,
                         sign_delta_prime_at_zero, sign_delta_second_at_critical,
                         verify_periodic)
 
@@ -144,6 +144,21 @@ def test_scan_isolated_zero_confirmed_by_flow():
     closed, gap = verify_periodic(canon, orbit.y0)
     assert closed
     assert evaluate(ISO_LEFT, orbit.y0) == pytest.approx(ISO_BOTTOM, rel=1e-9)
+
+
+def test_scan_solves_each_lambda_once(monkeypatch):
+    # both sides of this pair have lam > 0
+    calls = []
+    solve = halfmap._solve_lambda
+
+    def counted(a, T, D, *rest):
+        calls.append((a, T, D))
+        return solve(a, T, D, *rest)
+
+    monkeypatch.setattr(halfmap, "_solve_lambda", counted)
+    ctx = ctx_of(HalfSystem(-2, -2, 4), HalfSystem(1, 1, 1, orientation=BWD))
+    find_crossing_orbits(ctx, 64)
+    assert sorted(calls) == [(-2, -2, 4), (-1, -1, 1)]
 
 
 def test_scan_rejects_tiny_grid():

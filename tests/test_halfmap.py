@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from pwlannulus import (ConditioningWarning, DomainError, HalfSystem, Orientation,
-                        derivative, domain, evaluate, exists, pv_integral,
-                        puiseux_at_lambda, q_value, sign_relation, taylor_at_zero,
-                        wpoly)
+                        derivative, domain, evaluate, exists, oracle_halfmap,
+                        pv_integral, puiseux_at_lambda, q_value, sign_relation,
+                        taylor_at_zero, wpoly)
 from conftest import domain_point, draw_half_system, proper_pv_interval, quad_pv
 
 FWD = Orientation.FORWARD
@@ -108,8 +108,17 @@ def test_domain_positive_left_endpoint():
 
 
 def test_domain_requires_existence():
+    h = HalfSystem(-1, 3, 2)
     with pytest.raises(DomainError):
-        domain(HalfSystem(-1, 3, 2))
+        domain(h)
+    with pytest.raises(DomainError):  # a failed solve is not remembered
+        domain(h)
+
+
+def test_domain_is_kept_on_the_instance():
+    h = HalfSystem(-1, -1, 1)
+    assert domain(h) is domain(h)
+    assert domain(HalfSystem(-1, -1, 1)) == domain(h)
 
 
 def test_domain_double_root_mu():
@@ -139,6 +148,24 @@ def test_eval_outside_domain_raises():
         evaluate(HalfSystem(1, 3, 2), 0.6)  # mu = 1/2
     with pytest.raises(DomainError):
         evaluate(HalfSystem(-1, -1, 1), 1.0)  # below lam
+
+
+def test_eval_a_zero_overflow_is_a_domain_error():
+    # exp(pi*T/sqrt(4D - T^2)) overflows for 4D - T^2 = 1e-12
+    with pytest.raises(DomainError, match="exceeds the double range"):
+        evaluate(HalfSystem(0, 1, 0.25000000000025), 1.0)
+    # the factor is finite (about 1e304) but its product with y0 is not
+    h = HalfSystem(0, 1, (1.0 + (math.pi / 700.0) ** 2) / 4.0)
+    assert math.isfinite(evaluate(h, 1.0))
+    with pytest.raises(DomainError, match="exceeds the double range"):
+        evaluate(h, 1e5)
+
+
+def test_eval_value_on_the_w_root_barrier():
+    # the map value lies within about 1e-12 (relative) of W's negative root,
+    # where the log1p cross-ratio of the bracket ladder rounds to -1
+    h = HalfSystem(0.43363031912407335, -2.3540228188847414, 0.07509130706403618)
+    assert evaluate(h, 8.0) == pytest.approx(oracle_halfmap(h, 8.0), abs=1e-8)
 
 
 def test_eval_near_mu_warns_and_caps():
