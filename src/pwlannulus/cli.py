@@ -179,8 +179,7 @@ def _load_params(path: str) -> SystemParams:
 # -- emission ----------------------------------------------------------------
 
 def _emit_json(out, payload) -> None:
-    json.dump(payload, out, indent=2)
-    out.write("\n")
+    out.write(json.dumps(payload, indent=2) + "\n")  # one write, not one per token
 
 
 def _emit_csv(out, header, rows) -> None:
@@ -222,21 +221,18 @@ def _context(p: SystemParams) -> displacement.DisplacementContext:
     return displacement.make_context(canon.left, canon.right, canon.b)
 
 
+def _slope(h: halfmap.HalfSystem, y0: float, y1: float) -> float | None:
+    """The map's slope at a table row; None at a domain endpoint."""
+    try:
+        return halfmap.slope(h, y0, y1)
+    except DomainError:
+        return None
+
+
 def _run_halfmap(cfg: RunConfig, p: SystemParams, out) -> int:
     ctx = _context(p)
-    rows = []
-    for y0 in displacement.scan_grid(ctx, cfg.grid, span=cfg.span):
-        y_left = halfmap.evaluate(ctx.left, y0)
-        y_right = halfmap.evaluate(ctx.right, y0 - ctx.b) + ctx.b
-        try:
-            d_left = halfmap.derivative(ctx.left, y0)
-        except DomainError:
-            d_left = None
-        try:
-            d_right = halfmap.derivative(ctx.right, y0 - ctx.b)
-        except DomainError:
-            d_right = None
-        rows.append((y0, y_left, y_right, d_left, d_right))
+    rows = [(y0, yl, yr + ctx.b, _slope(ctx.left, y0, yl), _slope(ctx.right, y0 - ctx.b, yr))
+            for y0, yl, yr, _ in displacement.scan(ctx, cfg.grid, span=cfg.span).rows]
     if cfg.output_format == "json":
         _emit_json(out, {
             "domain": {"lam": ctx.lam, "mu": ctx.mu if math.isfinite(ctx.mu) else None},
@@ -254,17 +250,10 @@ def _run_halfmap(cfg: RunConfig, p: SystemParams, out) -> int:
 def _run_displacement(cfg: RunConfig, p: SystemParams, out) -> int:
     ctx = _context(p)
     annulus_tol = cfg.tolerances.get("annulus", displacement.ANNULUS_TOL)
-    rows = []
-    for y0 in displacement.scan_grid(ctx, cfg.grid, span=cfg.span):
-        d = displacement.delta(ctx, y0)
-        f_sign = None
-        if ctx.b == 0.0 and abs(d) <= displacement.DELTA_ZERO_TOL * max(1.0, abs(y0)):
-            y1 = halfmap.evaluate(ctx.left, y0)
-            if y1 < 0.0:
-                f_sign = displacement.sign_delta_prime_at_zero(ctx, y0, y1)
-        rows.append((y0, d, f_sign))
-    orbits = displacement.find_crossing_orbits(
-        ctx, cfg.grid, span=cfg.span, annulus_tol=annulus_tol)
+    record = displacement.scan(ctx, cfg.grid, span=cfg.span)
+    rows = [(r.y0, r.delta, f_sign)
+            for r, f_sign in zip(record.rows, displacement.zero_signs(ctx, record))]
+    orbits = displacement.orbits_from_scan(ctx, record, annulus_tol=annulus_tol)
     if cfg.output_format == "json":
         _emit_json(out, {
             "domain": {"lam": ctx.lam, "mu": ctx.mu if math.isfinite(ctx.mu) else None},

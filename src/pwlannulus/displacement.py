@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import halfmap
 from .errors import ContractError, DomainError, EmptyDomainError, PreconditionError
@@ -176,22 +177,73 @@ def scan_grid(ctx: DisplacementContext, grid_n: int, *,
     return [lo + i * step for i in range(grid_n)]
 
 
+class ScanRow(NamedTuple):
+    """One grid point: both map values and the displacement, each solved once."""
+
+    y0: float
+    yL: float
+    yR: float      # right map at y0 - b, not shifted by b
+    delta: float   # yR + b - yL, bit for bit the value of delta(ctx, y0)
+
+
+@dataclass(frozen=True)
+class ScanRecord:
+    """The scanned window [lo, hi) and one row per grid point."""
+
+    lo: float
+    hi: float
+    rows: tuple[ScanRow, ...]
+
+
+def scan(ctx: DisplacementContext, grid_n: int, *,
+         span: float | None = None) -> ScanRecord:
+    """Evaluate each half-map once per grid point of the scan window."""
+    ys = scan_grid(ctx, grid_n, span=span)
+    lo, hi = scan_window(ctx, span=span)
+    rows = []
+    for y0 in ys:
+        yr = halfmap.evaluate(ctx.right, y0 - ctx.b)
+        yl = halfmap.evaluate(ctx.left, y0)
+        rows.append(ScanRow(y0, yl, yr, yr + ctx.b - yl))
+    return ScanRecord(lo, hi, tuple(rows))
+
+
+def zero_signs(ctx: DisplacementContext, record: ScanRecord) -> list[int | None]:
+    """sign(delta') from F at each row; None where a hypothesis fails.
+
+    The hypotheses are those of sign_delta_prime_at_zero, read off the row:
+    b = 0, y0 > lam, delta = 0 within DELTA_ZERO_TOL, a negative map value.
+    """
+    return [_sign(f_value(ctx, r.y0, r.yL))
+            if (ctx.b == 0.0 and r.y0 > ctx.lam and r.yL < 0.0
+                and abs(r.delta) <= DELTA_ZERO_TOL * max(1.0, abs(r.y0)))
+            else None
+            for r in record.rows]
+
+
 def find_crossing_orbits(ctx: DisplacementContext, grid_n: int = DEFAULT_GRID, *,
                          span: float | None = None,
                          annulus_tol: float = ANNULUS_TOL) -> list[CrossingOrbit]:
-    """Zero scan of the displacement over a grid.
+    """Zero scan of the displacement over a grid; see orbits_from_scan."""
+    return orbits_from_scan(ctx, scan(ctx, grid_n, span=span), annulus_tol=annulus_tol)
 
-    Returns one ANNULUS_CANDIDATE when |delta| < annulus_tol * max(1, |y0|) at
-    every grid point, else one ISOLATED entry per bracketed sign change,
-    refined by bisection.
+
+def orbits_from_scan(ctx: DisplacementContext, record: ScanRecord, *,
+                     annulus_tol: float = ANNULUS_TOL) -> list[CrossingOrbit]:
+    """Crossing orbits of a scan record.
+
+    Returns one ANNULUS_CANDIDATE when |delta| < annulus_tol * max(1, |y0|,
+    |yL|) at every row, else one ISOLATED entry per bracketed sign change,
+    refined by bisection.  When lam > 0 the first row y0 = lam is left out:
+    a half-map value is 0 there, so it is a fold orbit, not a crossing orbit,
+    and its delta is only the noise of the two separate endpoint solves.
     """
-    ys = scan_grid(ctx, grid_n, span=span)
-    ds = [delta(ctx, y) for y in ys]
-    if all(abs(d) < annulus_tol * max(1.0, abs(y)) for y, d in zip(ys, ds)):
-        lo, hi = scan_window(ctx, span=span)
+    rows = record.rows[1:] if ctx.lam > 0.0 else record.rows
+    if all(abs(r.delta) < annulus_tol * max(1.0, abs(r.y0), abs(r.yL)) for r in rows):
+        lo, hi = record.lo, record.hi
         return [CrossingOrbit(y0=lo + 0.5 * (hi - lo), kind=OrbitKind.ANNULUS_CANDIDATE)]
     orbits = []
-    for (ya, da), (yb, db) in zip(zip(ys, ds), zip(ys[1:], ds[1:])):
+    for (ya, _, _, da), (yb, _, _, db) in zip(rows, rows[1:]):
         if da == 0.0:
             # y0 = 0 is the maps' common fixed point, not a crossing orbit
             if ya != 0.0:
@@ -210,6 +262,6 @@ def find_crossing_orbits(ctx: DisplacementContext, grid_n: int = DEFAULT_GRID, *
                 else:
                     b = m
             orbits.append(CrossingOrbit(y0=0.5 * (a + b), kind=OrbitKind.ISOLATED))
-    if ds and ds[-1] == 0.0:
-        orbits.append(CrossingOrbit(y0=ys[-1], kind=OrbitKind.ISOLATED))
+    if rows and rows[-1].delta == 0.0:
+        orbits.append(CrossingOrbit(y0=rows[-1].y0, kind=OrbitKind.ISOLATED))
     return orbits

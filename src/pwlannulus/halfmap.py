@@ -386,16 +386,29 @@ def evaluate(h: HalfSystem, y0: float) -> float:
     return _bracketed_newton(resid, resid_prime, lo, 0.0, flo, f0)
 
 
-def derivative(h: HalfSystem, y0: float) -> float:
-    """dy1/dy0 = y0*W(y1) / (y1*W(y0)); strictly negative on the interior."""
+def _require_interior(h: HalfSystem, y0: float) -> None:
     dom = domain(h)
     if not (dom.lam < y0 < dom.mu):
         raise DomainError("derivative requires y0 in the open domain interior")
-    y1 = evaluate(h, y0)
+
+
+def slope(h: HalfSystem, y0: float, y1: float) -> float:
+    """dy1/dy0 = y0*W(y1) / (y1*W(y0)) at the known map value y1 = y(y0).
+
+    Differentiating the defining identity in y0 gives this closed form, so a
+    caller that has y1 already pays no second solve.
+    """
+    _require_interior(h, y0)
     if y1 >= 0.0:
         raise DomainError("derivative undefined where the map value is zero")
     w = wpoly(h)
     return y0 * w(y1) / (y1 * w(y0))
+
+
+def derivative(h: HalfSystem, y0: float) -> float:
+    """dy1/dy0 at y0; strictly negative on the interior."""
+    _require_interior(h, y0)  # before the solve, so a point outside names the interior
+    return slope(h, y0, evaluate(h, y0))
 
 
 def sign_relation(h: HalfSystem, y0: float) -> int:

@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import (ConvergenceError, NoReturnError, PreconditionError,
+from .errors import (ConvergenceError, DomainError, NoReturnError, PreconditionError,
                      SlidingEncounteredError, TangencyError)
 from .halfmap import HalfSystem, Orientation
 from .params import CanonicalSystem
@@ -306,6 +306,13 @@ def next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEve
     travels the right zone (x > 0) in reversed time.  The returned t is the
     elapsed (positive) duration in the traveled direction.
     """
+    try:
+        return _next_crossing(z, y0, direction)
+    except OverflowError:  # an exponential of the closed-form flow
+        raise DomainError("flow exceeds the double range") from None
+
+
+def _next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEvent:
     tau = 1.0 if direction is Orientation.FORWARD else -1.0
     inside = -1 if direction is Orientation.FORWARD else 1
     prof = _Profile(z, y0, tau)

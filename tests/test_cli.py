@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from pwlannulus import HalfSystem, Orientation, cli, make_context
+from pwlannulus import (DomainError, HalfSystem, Orientation, cli, from_canonical,
+                        halfmap, make_context, to_canonical)
 from pwlannulus.displacement import scan_grid
 
 
@@ -113,6 +114,64 @@ def test_half_map_overflow_exit(tmp_path, capsys):
     assert code == 2
     assert text == ""
     assert "half-map value exceeds the double range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["halfmap", "displacement"])
+def test_table_commands_evaluate_each_map_once_per_row(annulus_file, command,
+                                                       monkeypatch):
+    calls = []
+    evaluate = halfmap.evaluate
+
+    def counted(h, y0):
+        calls.append(y0)
+        return evaluate(h, y0)
+
+    monkeypatch.setattr(halfmap, "evaluate", counted)
+    code, _ = run_cli(["--input", annulus_file, "--cmd", command, "--grid", "32"])
+    assert code == 0
+    assert len(calls) == 2 * 32
+
+
+def test_halfmap_slope_of_the_shifted_right_map(tmp_path):
+    entries = {"TL": 0.5, "DL": 1.0, "aL": -1.0, "TR": -0.5, "DR": 1.3, "aR": 2.0,
+               "b": 0.3}
+    code, text = run_cli(["--input", write_json(tmp_path, "shifted.json", entries),
+                          "--cmd", "halfmap", "--grid", "16"])
+    assert code == 0
+    canon = to_canonical(from_canonical(
+        a_left=-1.0, trace_left=0.5, det_left=1.0,
+        a_right=2.0, trace_right=-0.5, det_right=1.3, offset=0.3))
+    right, b = canon.right, canon.b
+    assert b != 0.0
+    for row in json.loads(text)["rows"]:
+        assert row["yRb"] == halfmap.evaluate(right, row["y0"] - b) + b
+        try:
+            want = halfmap.derivative(right, row["y0"] - b)
+        except DomainError:
+            want = None
+        assert row["dyRb"] == want
+
+
+def test_displacement_on_annulus_with_a_right_focus_and_tr_negative(tmp_path):
+    # aR > 0, TR < 0: delta vanishes on the first row y0 = lam = 0 as well,
+    # which is no crossing orbit and gets no f_sign
+    path = write_json(tmp_path, "fold.json", {
+        "TL": 1, "DL": 1, "aL": -1, "TR": -1, "DR": 1, "aR": 1, "b": 0})
+    code, text = run_cli(["--input", path, "--cmd", "displacement", "--grid", "16"])
+    assert code == 0
+    payload = json.loads(text)
+    assert [r["f_sign"] for r in payload["rows"]] == [None] + [0] * 15
+    assert [z["kind"] for z in payload["zeros"]] == ["annulus-candidate"]
+
+
+def test_portrait_flow_overflow_exit(tmp_path, capsys):
+    path = write_json(tmp_path, "overflow.json", {
+        "TL": 1, "DL": 0.25000000000025, "aL": 0,
+        "TR": -1, "DR": 1, "aR": 1, "b": 0})
+    code, text = run_cli(["--input", path, "--cmd", "portrait"])
+    assert code == 2
+    assert text == ""
+    assert "flow exceeds the double range" in capsys.readouterr().err
 
 
 def test_portrait_samples(annulus_file):

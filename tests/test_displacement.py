@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from pwlannulus import (CanonicalSystem, ContractError, DomainError,
                         EmptyDomainError, HalfSystem, Orientation, OrbitKind,
-                        PreconditionError, delta, delta_prime, evaluate, f_value,
-                        find_crossing_orbits, halfmap, make_context,
-                        sign_delta_prime_at_zero, sign_delta_second_at_critical,
-                        verify_periodic)
+                        PreconditionError, annulus_family, delta, delta_prime,
+                        evaluate, f_value, find_crossing_orbits, halfmap,
+                        make_context, sign_delta_prime_at_zero,
+                        sign_delta_second_at_critical, to_canonical, verify_periodic)
+from pwlannulus.displacement import orbits_from_scan, scan, scan_grid, scan_window
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -159,6 +160,41 @@ def test_scan_solves_each_lambda_once(monkeypatch):
     ctx = ctx_of(HalfSystem(-2, -2, 4), HalfSystem(1, 1, 1, orientation=BWD))
     find_crossing_orbits(ctx, 64)
     assert sorted(calls) == [(-2, -2, 4), (-1, -1, 1)]
+
+
+def test_scan_rows_are_the_map_values_and_delta():
+    ctx = ctx_of(ISO_LEFT, ISO_RIGHT, b=0.3)
+    record = scan(ctx, 16)
+    assert [r.y0 for r in record.rows] == scan_grid(ctx, 16)
+    assert (record.lo, record.hi) == scan_window(ctx)
+    for y0, yl, yr, d in record.rows:
+        assert yl == evaluate(ISO_LEFT, y0)
+        assert yr == evaluate(ISO_RIGHT, y0 - 0.3)  # not shifted by b
+        assert repr(d) == repr(delta(ctx, y0))
+
+
+@pytest.mark.parametrize("left, right", [
+    (ISO_LEFT, ISO_RIGHT),                                    # one isolated zero
+    (HalfSystem(-2, -2, 4), HalfSystem(1, 1, 1, orientation=BWD)),  # annulus, lam > 0
+    (HalfSystem(0, 1, 1), HalfSystem(0, 1, 1, orientation=BWD)),    # no zero
+])
+def test_find_crossing_orbits_reads_the_scan(left, right):
+    ctx = ctx_of(left, right)
+    assert find_crossing_orbits(ctx, 40) == orbits_from_scan(ctx, scan(ctx, 40))
+    assert (find_crossing_orbits(ctx, 40, span=3.0, annulus_tol=1e-12)
+            == orbits_from_scan(ctx, scan(ctx, 40, span=3.0), annulus_tol=1e-12))
+
+
+@pytest.mark.parametrize("family", [
+    (1, 1, 1, 2),        # lam > 0: delta(lam) is about -2.4e-8 of solver noise
+    (2, 0.5, 1, 5),      # lam > 0: about 5.3e-8
+    (-2.2635, -1.5153, 0.6038, 1.1222),  # 4D/T^2 = 1.05, |y_L| up to about 4e6
+])
+def test_scan_finds_one_annulus_on_family_members(family):
+    canon = to_canonical(annulus_family(*family))
+    ctx = make_context(canon.left, canon.right, canon.b)
+    orbits = find_crossing_orbits(ctx, 64)
+    assert [o.kind for o in orbits] == [OrbitKind.ANNULUS_CANDIDATE]
 
 
 def test_scan_rejects_tiny_grid():

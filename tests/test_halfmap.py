@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pwlannulus import (ConditioningWarning, DomainError, HalfSystem, Orientation,
-                        derivative, domain, evaluate, exists, oracle_halfmap,
+                        derivative, domain, evaluate, exists, halfmap, oracle_halfmap,
                         pv_integral, puiseux_at_lambda, q_value, sign_relation,
                         taylor_at_zero, wpoly)
 from conftest import domain_point, draw_half_system, proper_pv_interval, quad_pv
@@ -281,6 +281,37 @@ def test_derivative_rejects_endpoint():
     lam = domain(h).lam
     with pytest.raises(DomainError):
         derivative(h, lam)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def test_slope_at_the_map_value_is_the_derivative(rng):
+    # the closed form at a known y1 repeats derivative bit for bit
+    for _ in range(300):
+        h = draw_half_system(rng)
+        y0 = domain_point(rng, h)
+        assert repr(derivative(h, y0)) == repr(halfmap.slope(h, y0, evaluate(h, y0)))
+
+
+def test_slope_raises_like_derivative(monkeypatch):
+    # lam and the ulps just above it: the map value there is 0 or solver noise
+    h = HalfSystem(-0.5762198835147234, -1.725380726487019, 2.2835951698376156)
+    y0 = domain(h).lam
+    outcomes = []
+    for _ in range(4):
+        outcomes.append(_outcome(derivative, h, y0))
+        assert outcomes[-1] == _outcome(halfmap.slope, h, y0, evaluate(h, y0))
+        y0 = math.nextafter(y0, math.inf)
+    assert outcomes[0] == "DomainError: derivative requires y0 in the open domain interior"
+    zero = "DomainError: derivative undefined where the map value is zero"
+    assert _outcome(halfmap.slope, h, 8.0, 0.0) == zero
+    monkeypatch.setattr(halfmap, "evaluate", lambda h, y0: 0.0)
+    assert _outcome(derivative, h, 8.0) == zero
 
 
 # -- sign relation --------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pwlannulus import (CanonicalSystem, HalfSystem, NoReturnError, Orientation,
+from pwlannulus import (CanonicalSystem, DomainError, HalfSystem, NoReturnError, Orientation,
                         PreconditionError, SpectralCase, TangencyError, ZoneFlow,
                         evaluate, flow, next_crossing, oracle_halfmap,
                         sample_trajectory, verify_periodic)
@@ -132,6 +132,14 @@ def test_tangent_circle_raises_tangency():
     z = ZoneFlow(T=0.0, D=1.0, a=-1.0)
     with pytest.raises(TangencyError):
         next_crossing(z, 0.0, FWD)
+
+
+def test_crossing_overflow_is_a_domain_error():
+    # 4D - T^2 = 1e-12: the focus turns so slowly that exp(T*t/2) overflows
+    # before the orbit returns
+    z = ZoneFlow(T=1.0, D=0.25000000000025, a=0.0)
+    with pytest.raises(DomainError, match="flow exceeds the double range"):
+        next_crossing(z, 1.0, FWD)
 
 
 def test_saddle_zone_crossing():
