@@ -15,15 +15,15 @@ Input is a JSON object in one of two mutually exclusive schemas:
                  "aR": ..., "b": ...}
 
 Unknown keys are rejected.  Every flag has an environment-variable override
-with the PWLANNULUS_ prefix (flags win).  Exit codes: 0 success (any verdict),
-1 malformed input, 2 precondition violations and other typed PwlErrors.
+with the PWLANNULUS_ prefix (flags win; a bad value exits 1 like a bad flag).
+Exit codes: 0 success (any verdict), 1 malformed input, 2 precondition
+violations and other typed PwlErrors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
+    return os.environ.get(ENV_PREFIX + name) or None
 
 
 def _parse_tol_items(items) -> dict[str, float]:
@@ -90,48 +90,40 @@ def _parse_tol_items(items) -> dict[str, float]:
 
 def parse_config(argv) -> RunConfig:
     parser = _Parser(prog="pwlannulus", add_help=True)
-    parser.add_argument("--input", help="path to the system parameter file")
-    parser.add_argument("--cmd", choices=COMMANDS, help="subcommand to run")
+    # an environment value is the default, so argparse converts and rejects it
+    parser.add_argument("--input", default=_env("INPUT"),
+                        help="path to the system parameter file")
+    parser.add_argument("--cmd", default=_env("CMD"), choices=COMMANDS,
+                        help="subcommand to run")
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                         help=f"tolerance override, names: {', '.join(TOL_NAMES)}")
-    parser.add_argument("--grid", type=int, help="grid size (default 64)")
-    parser.add_argument("--span", type=float,
+    parser.add_argument("--grid", type=int, default=_env("GRID") or 64,
+                        help="grid size (default 64)")
+    parser.add_argument("--span", type=float, default=_env("SPAN"),
                         help="scan span / sweep perturbation half-width")
-    parser.add_argument("--seed", type=int, help="random seed for sweep")
-    parser.add_argument("--format", choices=FORMATS, help="output format (default json)")
+    parser.add_argument("--seed", type=int, default=_env("SEED") or 0,
+                        help="random seed for sweep")
+    parser.add_argument("--format", default=_env("FORMAT") or "json", choices=FORMATS,
+                        help="output format (default json)")
     args = parser.parse_args(argv)
+    tol_items = args.tol or [s for s in (_env("TOL") or "").split(",") if s]
 
-    input_path = args.input if args.input is not None else _env("INPUT")
-    command = args.cmd if args.cmd is not None else _env("CMD")
-    fmt = args.format if args.format is not None else (_env("FORMAT") or "json")
-    grid = args.grid
-    if grid is None:
-        grid = int(_env("GRID")) if _env("GRID") else 64
-    span = args.span
-    if span is None and _env("SPAN"):
-        span = float(_env("SPAN"))
-    seed = args.seed
-    if seed is None:
-        seed = int(_env("SEED")) if _env("SEED") else 0
-    tol_items = list(args.tol)
-    if not tol_items and _env("TOL"):
-        tol_items = [s for s in _env("TOL").split(",") if s]
-
-    if input_path is None:
+    if args.input is None:
         raise _CliInputError("--input is required")
-    if command is None:
+    if args.cmd is None:
         raise _CliInputError("--cmd is required")
-    if command not in COMMANDS:
-        raise _CliInputError(f"unknown command {command!r}")
-    if fmt not in FORMATS:
-        raise _CliInputError(f"unknown format {fmt!r}")
-    if grid < 2:
+    if args.cmd not in COMMANDS:
+        raise _CliInputError(f"unknown command {args.cmd!r}")
+    if args.format not in FORMATS:
+        raise _CliInputError(f"unknown format {args.format!r}")
+    if args.grid < 2:
         raise _CliInputError("--grid must be at least 2")
-    if span is not None and not (math.isfinite(span) and span > 0.0):
+    if args.span is not None and not (math.isfinite(args.span) and args.span > 0.0):
         raise _CliInputError("--span must be finite and positive")
-    return RunConfig(input_path=input_path, command=command,
+    return RunConfig(input_path=args.input, command=args.cmd,
                      tolerances=_parse_tol_items(tol_items),
-                     output_format=fmt, grid=grid, span=span, seed=seed)
+                     output_format=args.format, grid=args.grid, span=args.span,
+                     seed=args.seed)
 
 
 def _as_real(value, where: str) -> float:
@@ -189,22 +181,26 @@ def _emit_csv(out, header, rows) -> None:
         writer.writerow(row)
 
 
-def _classification_payload(cls: classifier.Classification) -> dict:
-    return {
-        "verdict": cls.verdict.value,
-        "records": [
-            {"name": r.name, "value": r.value, "passed": r.passed}
-            for r in cls.records
-        ],
-        "sliding": list(cls.sliding) if cls.sliding is not None else None,
-    }
+def _emit_table(cfg: RunConfig, out, header, rows, *, head=None, tail=None) -> None:
+    """json: head, then "rows" as objects keyed by the header, then tail.
+    csv: the header and the rows; the csv writer prints a float as its repr
+    and None as an empty cell."""
+    if cfg.output_format == "json":
+        _emit_json(out, {**(head or {}), "rows": [dict(zip(header, r)) for r in rows],
+                         **(tail or {})})
+    else:
+        _emit_csv(out, header, rows)
 
 
 def _run_classify(cfg: RunConfig, p: SystemParams, out) -> int:
     tol = cfg.tolerances.get("classify", classifier.DEFAULT_TOL)
     cls = classifier.classify(p, tol)
     if cfg.output_format == "json":
-        _emit_json(out, _classification_payload(cls))
+        _emit_json(out, {
+            "verdict": cls.verdict.value,
+            "records": [{"name": r.name, "value": r.value, "passed": r.passed}
+                        for r in cls.records],
+            "sliding": list(cls.sliding) if cls.sliding is not None else None})
     else:
         rows = [["verdict", cls.verdict.value, ""]]
         rows += [[r.name, repr(r.value), "pass" if r.passed else "fail"]
@@ -229,21 +225,15 @@ def _slope(h: halfmap.HalfSystem, y0: float, y1: float) -> float | None:
         return None
 
 
+def _domain_entry(ctx: displacement.DisplacementContext) -> dict:
+    return {"domain": {"lam": ctx.lam, "mu": ctx.mu if math.isfinite(ctx.mu) else None}}
+
+
 def _run_halfmap(cfg: RunConfig, p: SystemParams, out) -> int:
     ctx = _context(p)
     rows = [(y0, yl, yr + ctx.b, _slope(ctx.left, y0, yl), _slope(ctx.right, y0 - ctx.b, yr))
             for y0, yl, yr, _ in displacement.scan(ctx, cfg.grid, span=cfg.span).rows]
-    if cfg.output_format == "json":
-        _emit_json(out, {
-            "domain": {"lam": ctx.lam, "mu": ctx.mu if math.isfinite(ctx.mu) else None},
-            "rows": [{"y0": r[0], "yL": r[1], "yRb": r[2], "dyL": r[3], "dyRb": r[4]}
-                     for r in rows],
-        })
-    else:
-        _emit_csv(out, ["y0", "yL", "yRb", "dyL", "dyRb"],
-                  [[repr(r[0]), repr(r[1]), repr(r[2]),
-                    "" if r[3] is None else repr(r[3]),
-                    "" if r[4] is None else repr(r[4])] for r in rows])
+    _emit_table(cfg, out, ("y0", "yL", "yRb", "dyL", "dyRb"), rows, head=_domain_entry(ctx))
     return EXIT_OK
 
 
@@ -254,16 +244,8 @@ def _run_displacement(cfg: RunConfig, p: SystemParams, out) -> int:
     rows = [(r.y0, r.delta, f_sign)
             for r, f_sign in zip(record.rows, displacement.zero_signs(ctx, record))]
     orbits = displacement.orbits_from_scan(ctx, record, annulus_tol=annulus_tol)
-    if cfg.output_format == "json":
-        _emit_json(out, {
-            "domain": {"lam": ctx.lam, "mu": ctx.mu if math.isfinite(ctx.mu) else None},
-            "rows": [{"y0": r[0], "delta": r[1], "f_sign": r[2]} for r in rows],
-            "zeros": [{"y0": o.y0, "kind": o.kind.value} for o in orbits],
-        })
-    else:
-        _emit_csv(out, ["y0", "delta", "f_sign"],
-                  [[repr(r[0]), repr(r[1]), "" if r[2] is None else r[2]]
-                   for r in rows])
+    _emit_table(cfg, out, ("y0", "delta", "f_sign"), rows, head=_domain_entry(ctx),
+                tail={"zeros": [{"y0": o.y0, "kind": o.kind.value} for o in orbits]})
     return EXIT_OK
 
 
@@ -284,13 +266,7 @@ def _run_portrait(cfg: RunConfig, p: SystemParams, out) -> int:
                 continue
             for t, x, y in oracle.sample_trajectory(zone, 0.0, y0, sgn * ev.t, cfg.grid):
                 rows.append((i, leg, t, x, y))
-    if cfg.output_format == "json":
-        _emit_json(out, {"rows": [
-            {"orbit": r[0], "leg": r[1], "t": r[2], "x": r[3], "y": r[4]}
-            for r in rows]})
-    else:
-        _emit_csv(out, ["orbit", "leg", "t", "x", "y"],
-                  [[r[0], r[1], repr(r[2]), repr(r[3]), repr(r[4])] for r in rows])
+    _emit_table(cfg, out, ("orbit", "leg", "t", "x", "y"), rows)
     return EXIT_OK
 
 

@@ -19,6 +19,10 @@ an explicit rational function, so the integral is evaluated by closed-form
 antiderivatives; root-finding on the lower endpoint is a bracketed bisection
 refined by safeguarded Newton steps.
 
+Everything in that identity except y0 is a per-system constant, fixed when
+a HalfSystem is built (see HalfSystem); the domain [lam, mu) needs a solve
+that may fail, so it is solved on first use and then kept as well.
+
 Exact zero tests (a == 0, D == 0, 4D == T^2) select degenerate formula
 branches on purpose: these are structural cases the caller sets exactly, not
 quantities to be detected by tolerance.
@@ -50,7 +54,11 @@ class Orientation(enum.Enum):
 
 @dataclass(frozen=True)
 class HalfSystem:
-    """One zone's reduced triple plus the travel direction through its flow."""
+    """One zone's reduced triple plus the travel direction through its flow.
+
+    Construction keeps the forward triple, W, W.disc, W.roots() and q (None
+    when the half-map does not exist) on the instance.
+    """
 
     a: float
     T: float
@@ -61,12 +69,17 @@ class HalfSystem:
         for name in ("a", "T", "D"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite real")
+        a, T, D = self.a, self.T, self.D
+        w = WPolynomial(c2=D, c1=-a * T, c0=a * a)
+        if self.orientation is Orientation.BACKWARD:
+            a, T = -a, -T
+        # written past the frozen __setattr__, as functools.cached_property does
+        self.__dict__.update(_triple=(a, T, D), _w=w, _disc=w.disc,
+                             _roots=tuple(w.roots()), _q=_q(a, T, D))
 
     def forward_triple(self) -> tuple[float, float, float]:
         """The equivalent forward triple; backward maps dualize (a,T) -> (-a,-T)."""
-        if self.orientation is Orientation.FORWARD:
-            return (self.a, self.T, self.D)
-        return (-self.a, -self.T, self.D)
+        return self._triple
 
 
 @dataclass(frozen=True)
@@ -115,6 +128,19 @@ class WPolynomial:
         return sorted([qq / c2, c0 / qq])
 
 
+def _q(a: float, T: float, D: float) -> float | None:
+    """q of a forward triple; None exactly when the half-map does not exist."""
+    if a > 0.0:
+        return 0.0
+    rad2 = 4.0 * D - T * T
+    if not rad2 > 0.0:
+        return None
+    den = D * math.sqrt(rad2)  # subnormal or 0 only for tiny D (T = 0: D < 1e-205)
+    val = (math.pi * T / den if den >= sys.float_info.min
+           else math.pi * T / D / math.sqrt(rad2))
+    return val if a == 0.0 else 2.0 * val
+
+
 @dataclass(frozen=True)
 class HalfMapDomain:
     """Definition interval [lam, mu) of a half-map; mu may be math.inf."""
@@ -125,78 +151,75 @@ class HalfMapDomain:
 
 def wpoly(h: HalfSystem) -> WPolynomial:
     """Orientation-independent quadratic controlling the map's domain."""
-    return WPolynomial(c2=h.D, c1=-h.a * h.T, c0=h.a * h.a)
+    return h._w
 
 
 def exists(h: HalfSystem) -> bool:
     """Whether the half-map is defined at all for this triple."""
-    a, T, D = h.forward_triple()
-    return (a <= 0.0 and 4.0 * D - T * T > 0.0) or a > 0.0
+    return h._q is not None
 
 
 def q_value(h: HalfSystem) -> float:
     """Right-hand side of the defining integral identity."""
-    a, T, D = h.forward_triple()
-    if a > 0.0:
-        return 0.0
-    rad2 = 4.0 * D - T * T
-    if rad2 <= 0.0:
+    if h._q is None:
         raise DomainError("q_value requires an existing half-map")
-    val = math.pi * T / (D * math.sqrt(rad2))
-    return val if a == 0.0 else 2.0 * val
+    return h._q
 
 
-def _check_positive_on(w: WPolynomial, y1: float, y0: float) -> None:
+def _check_positive_on(h: HalfSystem, y1: float, y0: float) -> None:
     """Reject integration ranges on which W is not strictly positive."""
-    for r in w.roots():
+    for r in h._roots:
         if y1 <= r <= y0:
             raise DomainError(f"W vanishes at {r} inside [{y1}, {y0}]")
     # No root inside, so W keeps one sign there; probe the midpoint.
-    if w(0.5 * (y1 + y0)) <= 0.0:
+    if h._w(0.5 * (y1 + y0)) <= 0.0:
         raise DomainError("W is not positive on the integration range")
 
 
-def _integral(a: float, T: float, D: float, w: WPolynomial, y1: float, y0: float) -> float:
+def _integral(h: HalfSystem, y1: float, y0: float) -> float:
     """integral_{y1}^{y0} -y/W(y) dy where W > 0 on [y1, y0] and a != 0.
 
     Antiderivative differences are paired analytically: the arctangent part
     goes through the angle-difference identity and the logarithmic part
     through a log1p cross-ratio, because the naive difference of two
     antiderivative values cancels catastrophically for nearly degenerate
-    discriminants.  Branch selection uses w.disc, the exact expression
-    roots() uses, so the pole structure seen here always matches the roots
-    the callers screen for.
+    discriminants.  Branch selection uses W's discriminant, the exact
+    expression its roots come from, so the pole structure seen here always
+    matches the roots the callers screen for.
     """
     if y1 == y0:
         return 0.0
-    if D != 0.0:
-        lead = -math.log(w(y0) / w(y1)) / (2.0 * D)
-        if T == 0.0:
-            return lead
-        coeff = -w.c1 / (2.0 * w.c2)            # aT / (2D)
-        u0 = 2.0 * w.c2 * y0 + w.c1             # 2Dy - aT at each endpoint
-        u1 = 2.0 * w.c2 * y1 + w.c1
-        disc = w.disc
-        if disc < 0.0:
-            s = math.sqrt(-disc)
-            ang = math.atan2(s * (u0 - u1), s * s + u0 * u1)
-            return lead - coeff * (2.0 / s) * ang
-        if disc == 0.0:
-            if u0 * u1 == 0.0:
-                raise DomainError("integration endpoint sits on a W root")
-            return lead + 2.0 * coeff * (u1 - u0) / (u0 * u1)
-        s = math.sqrt(disc)
-        den = (u0 + s) * (u1 - s)
-        if den == 0.0:
-            raise DomainError("integration endpoint sits on a W root")
-        ratio = 2.0 * s * (u0 - u1) / den
-        if ratio <= -1.0:  # the cross-ratio rounded onto the root
-            raise DomainError("integration endpoint sits on a W root")
-        return lead - coeff * math.log1p(ratio) / s
-    # D == 0: W is linear (T != 0) or constant (T == 0).
+    a, T, D = h._triple
+    w = h._w
     if T == 0.0:
-        return (y1 - y0) * (y1 + y0) / (2.0 * a * a)
-    return (y0 - y1) / (a * T) + math.log((a - T * y0) / (a - T * y1)) / (T * T)
+        # W = a^2 + D*y^2 is the constant a^2 where D*y^2 is below its
+        # rounding: D = 0, or a determinant so small the logarithm reads 0.
+        if abs(D) * max(y0 * y0, y1 * y1) <= sys.float_info.epsilon * a * a:
+            return (y1 - y0) * (y1 + y0) / (2.0 * a * a)
+        return -math.log(w(y0) / w(y1)) / (2.0 * D)
+    if D == 0.0:  # W is linear
+        return (y0 - y1) / (a * T) + math.log((a - T * y0) / (a - T * y1)) / (T * T)
+    lead = -math.log(w(y0) / w(y1)) / (2.0 * D)
+    coeff = -w.c1 / (2.0 * w.c2)            # aT / (2D)
+    u0 = 2.0 * w.c2 * y0 + w.c1             # 2Dy - aT at each endpoint
+    u1 = 2.0 * w.c2 * y1 + w.c1
+    disc = h._disc
+    if disc < 0.0:
+        s = math.sqrt(-disc)
+        ang = math.atan2(s * (u0 - u1), s * s + u0 * u1)
+        return lead - coeff * (2.0 / s) * ang
+    if disc == 0.0:
+        if u0 * u1 == 0.0:
+            raise DomainError("integration endpoint sits on a W root")
+        return lead + 2.0 * coeff * (u1 - u0) / (u0 * u1)
+    s = math.sqrt(disc)
+    den = (u0 + s) * (u1 - s)
+    if den == 0.0:
+        raise DomainError("integration endpoint sits on a W root")
+    ratio = 2.0 * s * (u0 - u1) / den
+    if ratio <= -1.0:  # the cross-ratio rounded onto the root
+        raise DomainError("integration endpoint sits on a W root")
+    return lead - coeff * math.log1p(ratio) / s
 
 
 def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
@@ -207,8 +230,7 @@ def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
         raise DomainError("pv_integral requires y1 <= y0")
     if y1 == y0:
         return 0.0
-    a, T, D = h.forward_triple()
-    w = wpoly(h)
+    a, _, D = h._triple
     if a == 0.0:
         if D <= 0.0:
             raise DomainError("a = 0 requires D > 0 for a positive W")
@@ -216,8 +238,8 @@ def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
             raise DomainError("divergent endpoint at the PV singularity")
         # -1/(D*y) integrates to -ln|y|/D; the symmetric limit cancels across 0.
         return -math.log(abs(y0 / y1)) / D
-    _check_positive_on(w, y1, y0)
-    return _integral(a, T, D, w, y1, y0)
+    _check_positive_on(h, y1, y0)
+    return _integral(h, y1, y0)
 
 
 def _bracketed_newton(f, fprime, lo, hi, flo, fhi):
@@ -256,11 +278,12 @@ def _bracketed_newton(f, fprime, lo, hi, flo, fhi):
     raise ConvergenceError("half-map root-finding failed to converge")
 
 
-def _solve_lambda(a, T, D, w, q):
+def _solve_lambda(h: HalfSystem) -> float:
     """Left endpoint lam > 0: integral from 0 to lam equals q (< 0 here)."""
+    q, w = h._q, h._w
 
     def g(lam):
-        return _integral(a, T, D, w, 0.0, lam) - q
+        return _integral(h, 0.0, lam) - q
 
     def gp(lam):
         return -lam / w(lam)
@@ -287,25 +310,17 @@ def domain(h: HalfSystem) -> HalfMapDomain:
     """
     dom = h.__dict__.get("_domain")
     if dom is None:
-        # written past the frozen __setattr__, as functools.cached_property does
-        dom = h.__dict__["_domain"] = _solve_domain(h)
+        if not exists(h):
+            raise DomainError("half-map does not exist for this triple")
+        a, T, _ = h._triple
+        pos = [r for r in h._roots if r > 0.0]
+        # an existing map with a < 0 has 4D - T^2 > 0
+        lam = _solve_lambda(h) if a < 0.0 and T < 0.0 else 0.0
+        dom = h.__dict__["_domain"] = HalfMapDomain(lam=lam, mu=min(pos) if pos else math.inf)
     return dom
 
 
-def _solve_domain(h: HalfSystem) -> HalfMapDomain:
-    if not exists(h):
-        raise DomainError("half-map does not exist for this triple")
-    a, T, D = h.forward_triple()
-    w = wpoly(h)
-    pos = [r for r in w.roots() if r > 0.0]
-    mu = min(pos) if pos else math.inf
-    lam = 0.0
-    if a < 0.0 and T < 0.0 and 4.0 * D - T * T > 0.0:
-        lam = _solve_lambda(a, T, D, w, q_value(h))
-    return HalfMapDomain(lam=lam, mu=mu)
-
-
-def _lower_bracket(a, T, D, w, resid, y0):
+def _lower_bracket(h: HalfSystem, resid, y0: float):
     """Bracket [lo, 0] for the map value; lo sits above W's negative root.
 
     The ladder starts wide because W is only trustworthy a relative sqrt(eps)
@@ -315,13 +330,13 @@ def _lower_bracket(a, T, D, w, resid, y0):
     is within that rung's offset of the root itself, which is the best double
     precision answer; it is returned directly (flo None).
     """
-    negs = [r for r in w.roots() if r < 0.0]
+    negs = [r for r in h._roots if r < 0.0]
     if negs:
         barrier = max(negs)
         pinned = None
         for shrink in (1e-6, 1e-9, BARRIER_SHRINK, 1e-15):
             lo = barrier * (1.0 - shrink)
-            if not w(lo) > 0.0:
+            if not h._w(lo) > 0.0:
                 break
             try:
                 flo = resid(lo)
@@ -349,13 +364,13 @@ def evaluate(h: HalfSystem, y0: float) -> float:
     dom = domain(h)
     if not math.isfinite(y0):
         raise DomainError("y0 must be finite")
-    a, T, D = h.forward_triple()
     if y0 < dom.lam or y0 >= dom.mu:
         raise DomainError(f"y0={y0} outside the domain [{dom.lam}, {dom.mu})")
     if math.isfinite(dom.mu) and y0 > dom.mu * (1.0 - MU_GUARD):
         warnings.warn("y0 is too close to the upper domain endpoint; capped",
                       ConditioningWarning, stacklevel=2)
         y0 = dom.mu * (1.0 - MU_GUARD)
+    a, T, D = h._triple
     if a == 0.0:
         try:
             y1 = -math.exp(math.pi * T / math.sqrt(4.0 * D - T * T)) * y0
@@ -364,11 +379,10 @@ def evaluate(h: HalfSystem, y0: float) -> float:
         if math.isinf(y1):
             raise DomainError("half-map value exceeds the double range")
         return y1
-    w = wpoly(h)
-    q = q_value(h)
+    q, w = h._q, h._w
 
     def resid(v):
-        return _integral(a, T, D, w, v, y0) - q
+        return _integral(h, v, y0) - q
 
     def resid_prime(v):
         return v / w(v)
@@ -380,7 +394,7 @@ def evaluate(h: HalfSystem, y0: float) -> float:
         if f0 <= 100.0 * RESIDUAL_TOL:
             return 0.0
         raise DomainError("y0 lies below the half-map domain")
-    lo, flo = _lower_bracket(a, T, D, w, resid, y0)
+    lo, flo = _lower_bracket(h, resid, y0)
     if flo is None:
         return lo
     return _bracketed_newton(resid, resid_prime, lo, 0.0, flo, f0)
@@ -401,8 +415,10 @@ def slope(h: HalfSystem, y0: float, y1: float) -> float:
     _require_interior(h, y0)
     if y1 >= 0.0:
         raise DomainError("derivative undefined where the map value is zero")
-    w = wpoly(h)
-    return y0 * w(y1) / (y1 * w(y0))
+    num, den = y0 * h._w(y1), y1 * h._w(y0)
+    if num == 0.0 or den == 0.0:  # W > 0 here, so only an underflow gives 0
+        raise DomainError("W underflows at the slope's endpoints")
+    return num / den
 
 
 def derivative(h: HalfSystem, y0: float) -> float:
@@ -433,8 +449,7 @@ def taylor_at_zero(h: HalfSystem) -> tuple[float, float]:
     yhat1 = evaluate(h, 0.0)
     if yhat1 >= -RESIDUAL_TOL:
         raise DomainError("expansion undefined when the map fixes the origin")
-    w = wpoly(h)
-    return yhat1, w(yhat1) / (2.0 * h.a * h.a * yhat1)
+    return yhat1, h._w(yhat1) / (2.0 * h.a * h.a * yhat1)
 
 
 def puiseux_at_lambda(h: HalfSystem) -> tuple[float, float]:
@@ -448,5 +463,4 @@ def puiseux_at_lambda(h: HalfSystem) -> tuple[float, float]:
     dom = domain(h)
     if dom.lam <= 0.0:
         raise DomainError("expansion requires a strictly positive left endpoint")
-    w = wpoly(h)
-    return dom.lam, h.a * math.sqrt(2.0 * dom.lam / w(dom.lam))
+    return dom.lam, h.a * math.sqrt(2.0 * dom.lam / h._w(dom.lam))

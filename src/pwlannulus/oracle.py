@@ -149,6 +149,8 @@ class _Profile:
         self.kind = "generic"
         if D != 0.0:
             px = a / D
+            if math.isinf(px):
+                raise DomainError("zone equilibrium a/D exceeds the double range")
             self.px = px
             ux0 = -px
             disc = T * T - 4.0 * D

@@ -106,16 +106,20 @@ def to_canonical(p: SystemParams) -> CanonicalSystem:
     """Parameter map of the Liénard reduction.
 
     Requires aL12 * aR12 > 0; otherwise no orbit can cross the switching line
-    and the reduction is meaningless.
+    and the reduction is meaningless.  A reduced parameter that overflows is
+    refused as well.
     """
     if p.aL12 * p.aR12 <= 0.0:
         raise CanonicalizationError(
             "aL12 * aR12 <= 0: crossing dynamics impossible")
     d = derive_invariants(p)
+    for name in ("TL", "DL", "aL", "TR", "DR", "aR", "b"):
+        if not math.isfinite(getattr(d, name)):
+            raise CanonicalizationError(f"{name} exceeds the double range")
     return CanonicalSystem(
         left=HalfSystem(a=d.aL, T=d.TL, D=d.DL, orientation=Orientation.FORWARD),
         right=HalfSystem(a=d.aR, T=d.TR, D=d.DR, orientation=Orientation.BACKWARD),
-        b=d.beta / p.aR12,
+        b=d.b,
     )
 
 

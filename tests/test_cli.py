@@ -174,6 +174,57 @@ def test_portrait_flow_overflow_exit(tmp_path, capsys):
     assert "flow exceeds the double range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["halfmap", "displacement", "portrait"])
+def test_overflowing_invariants_exit(tmp_path, capsys, command):
+    # DL = 1e400 + 1e400 is not a finite double
+    path = write_json(tmp_path, "huge.json", {
+        "AL": [1e200, -1e200, 1e200, 1e200], "bL": [0, 1],
+        "AR": [1, -1, 1, 0], "bR": [0, 1]})
+    code, text = run_cli(["--input", path, "--cmd", command])
+    assert code == 2
+    assert text == ""
+    assert "DL exceeds the double range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["halfmap", "displacement"])
+def test_tables_with_a_tiny_determinant(tmp_path, command):
+    path = write_json(tmp_path, "tiny.json", {
+        "TL": 0, "DL": 1e-300, "aL": -1, "TR": 0, "DR": 1, "aR": 1, "b": 0})
+    code, text = run_cli(["--input", path, "--cmd", command, "--grid", "8"])
+    assert code == 0
+    payload = json.loads(text)
+    for row in payload["rows"]:
+        if command == "halfmap":
+            assert row["yL"] == pytest.approx(-row["y0"], rel=1e-14)
+        else:
+            assert abs(row["delta"]) <= 1e-14 * max(1.0, row["y0"])
+    if command == "displacement":
+        assert [z["kind"] for z in payload["zeros"]] == ["annulus-candidate"]
+
+
+def test_portrait_with_an_infinite_equilibrium_exit(tmp_path, capsys):
+    path = write_json(tmp_path, "tiny.json", {
+        "TL": 0, "DL": 1e-320, "aL": -1, "TR": 0, "DR": 1, "aR": 1, "b": 0})
+    code, text = run_cli(["--input", path, "--cmd", "portrait"])
+    assert code == 2
+    assert text == ""
+    assert "zone equilibrium a/D exceeds the double range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["halfmap", "displacement", "portrait"])
+def test_csv_cells_are_the_json_values(annulus_file, command):
+    argv = ["--input", annulus_file, "--cmd", command, "--grid", "8"]
+    _, text = run_cli(argv)
+    _, table = run_cli(argv + ["--format", "csv"])
+    rows = json.loads(text)["rows"]
+    lines = table.splitlines()
+    assert lines[0].split(",") == list(rows[0])
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        assert line.split(",") == ["" if v is None else repr(v) if isinstance(v, float)
+                                   else str(v) for v in row.values()]
+
+
 def test_portrait_samples(annulus_file):
     code, text = run_cli(["--input", annulus_file, "--cmd", "portrait",
                           "--grid", "16", "--span", "4.0"])
@@ -260,6 +311,18 @@ def test_flag_beats_env(annulus_file, no_crossing_file, monkeypatch, capsys):
     assert cli.main(["--input", annulus_file, "--cmd", "classify"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "crossing-period-annulus"
+
+
+@pytest.mark.parametrize("name, value", [("GRID", "abc"), ("SPAN", "abc"), ("SEED", "x")])
+def test_bad_env_value_exits_like_a_bad_flag(annulus_file, monkeypatch, capsys,
+                                             name, value):
+    monkeypatch.setenv("PWLANNULUS_" + name, value)
+    argv = ["--input", annulus_file, "--cmd", "sweep"]
+    assert cli.main(argv) == 1
+    kind = "float" if name == "SPAN" else "int"
+    assert capsys.readouterr().err == (
+        f"error: argument --{name.lower()}: invalid {kind} value: '{value}'\n")
+    assert cli.main(argv + [f"--{name.lower()}", "3"]) == 0  # the flag wins
 
 
 def test_classify_tolerance_override(tmp_path):

@@ -152,14 +152,28 @@ def test_scan_solves_each_lambda_once(monkeypatch):
     calls = []
     solve = halfmap._solve_lambda
 
-    def counted(a, T, D, *rest):
-        calls.append((a, T, D))
-        return solve(a, T, D, *rest)
+    def counted(h):
+        calls.append(h.forward_triple())
+        return solve(h)
 
     monkeypatch.setattr(halfmap, "_solve_lambda", counted)
     ctx = ctx_of(HalfSystem(-2, -2, 4), HalfSystem(1, 1, 1, orientation=BWD))
     find_crossing_orbits(ctx, 64)
     assert sorted(calls) == [(-2, -2, 4), (-1, -1, 1)]
+
+
+def test_scan_builds_one_w_per_half_system(monkeypatch):
+    built = []
+
+    class Counted(halfmap.WPolynomial):
+        def __init__(self, *args, **kwargs):
+            built.append(args or kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(halfmap, "WPolynomial", Counted)
+    ctx = ctx_of(HalfSystem(-2, -2, 4), HalfSystem(1, 1, 1, orientation=BWD))
+    find_crossing_orbits(ctx, 64)
+    assert len(built) == 2
 
 
 def test_scan_rows_are_the_map_values_and_delta():

@@ -161,6 +161,32 @@ def test_eval_a_zero_overflow_is_a_domain_error():
         evaluate(h, 1e5)
 
 
+@pytest.mark.parametrize("det", [1e-300, 1e-320])
+def test_zero_trace_with_a_tiny_determinant(det):
+    # D*sqrt(4D - T^2) underflows in q, and W = 1 + D*y^2 rounds to 1 on the
+    # whole range; with T = 0 the map is the reflection y0 -> -y0
+    h = HalfSystem(-1.0, 0.0, det)
+    assert q_value(h) == 0.0
+    assert evaluate(h, 2.5) == pytest.approx(-2.5, rel=1e-14)
+    assert derivative(h, 2.5) == pytest.approx(-1.0, rel=1e-14)
+    assert evaluate(HalfSystem(1.0, 0.0, det, orientation=BWD), 0.7) == pytest.approx(
+        -0.7, rel=1e-14)
+
+
+def test_q_with_an_underflowing_denominator_stays_finite():
+    # D*sqrt(4D - T^2) = 1e-300 * sqrt(3.99) * 1e-150 underflows; q does not
+    q = q_value(HalfSystem(0.0, 1e-151, 1e-300))
+    assert q == pytest.approx(math.pi / math.sqrt(3.99) * 1e299, rel=1e-14)
+
+
+def test_slope_with_an_underflowing_w_is_a_domain_error():
+    # a = 0: W = D*y^2 is 0 in doubles at y0 = 1e-3
+    h = HalfSystem(0.0, 0.0, 1e-320)
+    assert evaluate(h, 1e-3) == -1e-3
+    with pytest.raises(DomainError, match="underflows"):
+        derivative(h, 1e-3)
+
+
 def test_eval_value_on_the_w_root_barrier():
     # the map value lies within about 1e-12 (relative) of W's negative root,
     # where the log1p cross-ratio of the bracket ladder rounds to -1

@@ -142,6 +142,13 @@ def test_crossing_overflow_is_a_domain_error():
         next_crossing(z, 1.0, FWD)
 
 
+def test_crossing_with_an_infinite_equilibrium_is_a_domain_error():
+    # a/D = -inf for a subnormal determinant
+    z = ZoneFlow(T=0.0, D=1e-320, a=-1.0)
+    with pytest.raises(DomainError, match="equilibrium"):
+        next_crossing(z, 1.0, FWD)
+
+
 def test_saddle_zone_crossing():
     # D < 0 with a > 0 exists and returns through a saddle-affected zone
     z = ZoneFlow(T=0.5, D=-1.0, a=1.0)

@@ -38,6 +38,18 @@ def test_upper_triangular_example():
     assert d.xi0 == 6
 
 
+def test_overflowing_invariants_are_refused():
+    # DL = 1e400 + 1e400 overflows although every raw entry is finite
+    p = SystemParams.from_matrices([1e200, -1e200, 1e200, 1e200], [0, 1],
+                                   [1, -1, 1, 0], [0, 1])
+    with pytest.raises(CanonicalizationError, match="DL exceeds the double range"):
+        to_canonical(p)
+    # a tiny aR12 sends b = beta / aR12 past the double range
+    p = SystemParams.from_matrices([0, -1, 1, 0], [0, 1], [0, -1e-300, 1, 0], [1e10, 1])
+    with pytest.raises(CanonicalizationError, match="b exceeds the double range"):
+        to_canonical(p)
+
+
 def test_nonfinite_fields_rejected():
     with pytest.raises(ValueError):
         SystemParams.from_matrices([0, 1, -1, math.nan], [0, 0],
