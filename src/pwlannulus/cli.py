@@ -17,7 +17,7 @@ Input is a JSON object in one of two mutually exclusive schemas:
 Unknown keys are rejected.  Every flag has an environment-variable override
 with the PWLANNULUS_ prefix (flags win; a bad value exits 1 like a bad flag).
 Exit codes: 0 success (any verdict), 1 malformed input, 2 precondition
-violations and other typed PwlErrors.
+violations and other typed PwlErrors, printed as "error: <class>: <message>".
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def run(cfg: RunConfig, out=None) -> int:
     try:
         return _RUNNERS[cfg.command](cfg, params, out)
     except PwlError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -89,13 +89,29 @@ def make_context(left: HalfSystem, right: HalfSystem, b: float = 0.0) -> Displac
     )
 
 
+class ScanRow(NamedTuple):
+    """One grid point: both map values and the displacement, each solved once."""
+
+    y0: float
+    yL: float
+    yR: float      # right map at y0 - b, not shifted by b
+    delta: float   # yR + b - yL, bit for bit the value of delta(ctx, y0)
+
+
+def _row(ctx: DisplacementContext, y0: float) -> ScanRow:
+    """Both map values at y0, right map first, and the displacement they give."""
+    yr = halfmap.evaluate(ctx.right, y0 - ctx.b)
+    yl = halfmap.evaluate(ctx.left, y0)
+    return ScanRow(y0, yl, yr, yr + ctx.b - yl)
+
+
 def delta(ctx: DisplacementContext, y0: float) -> float:
     """Displacement value at y0 in [lam, mu)."""
     if ctx.is_empty:
         raise EmptyDomainError("the common half-map domain is empty")
     if not (ctx.lam <= y0 < ctx.mu):
         raise DomainError(f"y0={y0} outside [{ctx.lam}, {ctx.mu})")
-    return halfmap.evaluate(ctx.right, y0 - ctx.b) + ctx.b - halfmap.evaluate(ctx.left, y0)
+    return _row(ctx, y0).delta
 
 
 def delta_prime(ctx: DisplacementContext, y0: float) -> float:
@@ -117,19 +133,20 @@ def _sign(x: float) -> int:
     return 0
 
 
-def _require_zero(ctx, y0, y1):
+def _require_zero(ctx, y0, y1) -> ScanRow:
+    """The row at y0, once the hypotheses of the sign formulas are checked on it."""
     if ctx.b != 0.0:
         raise PreconditionError("derivative-sign formulas require b = 0")
     if not (ctx.lam < y0 < ctx.mu):
         raise ContractError("y0 must lie in the open domain interior")
-    d = delta(ctx, y0)
-    if abs(d) > DELTA_ZERO_TOL * max(1.0, abs(y0)):
-        raise ContractError(f"delta(y0)={d} is not zero within tolerance")
+    row = _row(ctx, y0)
+    if abs(row.delta) > DELTA_ZERO_TOL * max(1.0, abs(y0)):
+        raise ContractError(f"delta(y0)={row.delta} is not zero within tolerance")
     if y1 >= 0.0:
         raise ContractError("the shared map value y1 must be negative")
-    yl = halfmap.evaluate(ctx.left, y0)
-    if abs(yl - y1) > DELTA_ZERO_TOL * max(1.0, abs(y1)):
+    if abs(row.yL - y1) > DELTA_ZERO_TOL * max(1.0, abs(y1)):
         raise ContractError("y1 does not match the half-map value at y0")
+    return row
 
 
 def sign_delta_prime_at_zero(ctx: DisplacementContext, y0: float, y1: float) -> int:
@@ -145,8 +162,8 @@ def sign_delta_second_at_critical(ctx: DisplacementContext, y0: float,
     The two components agree whenever the hypotheses hold; both are returned
     so callers can assert the agreement.
     """
-    _require_zero(ctx, y0, y1)
-    dp = delta_prime(ctx, y0)
+    row = _require_zero(ctx, y0, y1)
+    dp = halfmap.slope(ctx.right, y0, row.yR) - halfmap.slope(ctx.left, y0, row.yL)
     if abs(dp) > DELTA_PRIME_TOL * max(1.0, abs(y0)):
         raise ContractError(f"delta'(y0)={dp} is not zero within tolerance")
     first = _sign(ctx.left.T * (ctx.c2 * y0 + ctx.c0))
@@ -177,15 +194,6 @@ def scan_grid(ctx: DisplacementContext, grid_n: int, *,
     return [lo + i * step for i in range(grid_n)]
 
 
-class ScanRow(NamedTuple):
-    """One grid point: both map values and the displacement, each solved once."""
-
-    y0: float
-    yL: float
-    yR: float      # right map at y0 - b, not shifted by b
-    delta: float   # yR + b - yL, bit for bit the value of delta(ctx, y0)
-
-
 @dataclass(frozen=True)
 class ScanRecord:
     """The scanned window [lo, hi) and one row per grid point."""
@@ -200,12 +208,7 @@ def scan(ctx: DisplacementContext, grid_n: int, *,
     """Evaluate each half-map once per grid point of the scan window."""
     ys = scan_grid(ctx, grid_n, span=span)
     lo, hi = scan_window(ctx, span=span)
-    rows = []
-    for y0 in ys:
-        yr = halfmap.evaluate(ctx.right, y0 - ctx.b)
-        yl = halfmap.evaluate(ctx.left, y0)
-        rows.append(ScanRow(y0, yl, yr, yr + ctx.b - yl))
-    return ScanRecord(lo, hi, tuple(rows))
+    return ScanRecord(lo, hi, tuple(_row(ctx, y0) for y0 in ys))
 
 
 def zero_signs(ctx: DisplacementContext, record: ScanRecord) -> list[int | None]:

@@ -23,9 +23,9 @@ Everything in that identity except y0 is a per-system constant, fixed when
 a HalfSystem is built (see HalfSystem); the domain [lam, mu) needs a solve
 that may fail, so it is solved on first use and then kept as well.
 
-Exact zero tests (a == 0, D == 0, 4D == T^2) select degenerate formula
-branches on purpose: these are structural cases the caller sets exactly, not
-quantities to be detected by tolerance.
+Exact zero tests (a == 0, T == 0, D == 0, 4D == T^2) select degenerate
+formula branches on purpose: these are structural cases the caller sets
+exactly, not quantities to be detected by tolerance.
 """
 
 from __future__ import annotations
@@ -278,6 +278,16 @@ def _bracketed_newton(f, fprime, lo, hi, flo, fhi):
     raise ConvergenceError("half-map root-finding failed to converge")
 
 
+def _doubling_ladder(f, x: float, sign: float, message: str) -> tuple[float, float]:
+    """(x*2**k, f(x*2**k)) at the first k < MAX_ITER where sign*f > 0, else raise."""
+    for _ in range(MAX_ITER):
+        fx = f(x)
+        if sign * fx > 0.0:
+            return x, fx
+        x *= 2.0
+    raise ConvergenceError(message)
+
+
 def _solve_lambda(h: HalfSystem) -> float:
     """Left endpoint lam > 0: integral from 0 to lam equals q (< 0 here)."""
     q, w = h._q, h._w
@@ -288,14 +298,8 @@ def _solve_lambda(h: HalfSystem) -> float:
     def gp(lam):
         return -lam / w(lam)
 
-    hi = 1.0
-    for _ in range(MAX_ITER):
-        if g(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("no upper bracket for the domain endpoint")
-    return _bracketed_newton(g, gp, 0.0, hi, -q, g(hi))
+    hi, ghi = _doubling_ladder(g, 1.0, -1.0, "no upper bracket for the domain endpoint")
+    return _bracketed_newton(g, gp, 0.0, hi, -q, ghi)
 
 
 def domain(h: HalfSystem) -> HalfMapDomain:
@@ -304,15 +308,17 @@ def domain(h: HalfSystem) -> HalfMapDomain:
     mu is the smallest strictly positive root of W (math.inf when none).
     lam is zero except in the forward case a < 0, 4D - T^2 > 0, T < 0 (and its
     backward dual), where it solves the defining identity with map value 0.
-    Raises DomainError when the half-map does not exist.  The interval is
-    solved once per HalfSystem instance and kept on it; a solve that raises
-    keeps nothing, so the next call raises again.
+    Raises DomainError when the half-map does not exist, or when a^2 (a != 0)
+    is not a normal double, where W's roots are off.  The interval is kept on
+    the HalfSystem instance once solved; a solve that raises keeps nothing.
     """
     dom = h.__dict__.get("_domain")
     if dom is None:
         if not exists(h):
             raise DomainError("half-map does not exist for this triple")
         a, T, _ = h._triple
+        if a != 0.0 and not sys.float_info.min <= a * a <= sys.float_info.max:
+            raise DomainError("a^2 leaves the normal double range")
         pos = [r for r in h._roots if r > 0.0]
         # an existing map with a < 0 has 4D - T^2 > 0
         lam = _solve_lambda(h) if a < 0.0 and T < 0.0 else 0.0
@@ -350,13 +356,8 @@ def _lower_bracket(h: HalfSystem, resid, y0: float):
         if pinned is not None:
             return pinned, None
         raise ConvergenceError("map value is pinned against the W-root barrier")
-    lo = -max(1.0, abs(y0))
-    for _ in range(MAX_ITER):
-        flo = resid(lo)
-        if flo > 0.0:
-            return lo, flo
-        lo *= 2.0
-    raise ConvergenceError("no lower bracket for the half-map value")
+    return _doubling_ladder(resid, -max(1.0, abs(y0)), 1.0,
+                            "no lower bracket for the half-map value")
 
 
 def evaluate(h: HalfSystem, y0: float) -> float:
@@ -379,6 +380,8 @@ def evaluate(h: HalfSystem, y0: float) -> float:
         if math.isinf(y1):
             raise DomainError("half-map value exceeds the double range")
         return y1
+    if T == 0.0:  # W is even and q = 0; 0.0 - y0 is 0.0, not -0.0, at y0 = 0
+        return 0.0 - y0
     q, w = h._q, h._w
 
     def resid(v):

@@ -314,6 +314,16 @@ def next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEve
         raise DomainError("flow exceeds the double range") from None
 
 
+def _seed_inside(xf, step: float, inside: int) -> tuple[float, float]:
+    """(s, xf(s)) at the first s = step/2, step/4, ... where xf is on the zone's side."""
+    for _ in range(60):
+        step *= 0.5
+        v = xf(step)
+        if v != 0.0 and (v > 0.0) == (inside > 0):
+            return step, v
+    raise ConvergenceError("could not seed the crossing bracket")
+
+
 def _next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEvent:
     tau = 1.0 if direction is Orientation.FORWARD else -1.0
     inside = -1 if direction is Orientation.FORWARD else 1
@@ -355,17 +365,8 @@ def _next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEv
             prev_s, prev_v = s_b, v
             continue
         if prev_v == 0.0:
-            # first segment: phi(0) = 0 and the orbit moved inside, so back
-            # off from the boundary until the sign is established
-            step = s_b
-            for _ in range(60):
-                step *= 0.5
-                prev_v = xf(step)
-                if prev_v != 0.0 and (prev_v > 0.0) == (inside > 0):
-                    prev_s = step
-                    break
-            else:
-                raise ConvergenceError("could not seed the crossing bracket")
+            # first segment: phi(0) = 0 and the orbit moved inside before s_b
+            prev_s, prev_v = _seed_inside(xf, s_b, inside)
         return finish(_refine(xf, dxf, prev_s, s_b, prev_v, v, tol))
     # finitely many critical times: decide the tail
     lim = prof.tail_limit()
@@ -375,16 +376,8 @@ def _next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEv
         raise NoReturnError("orbit never returns to the switching line")
     # the tail is monotone toward the other side: expand until the sign flips
     if prev_v == 0.0:
-        # no critical times at all: seed just inside
-        step = max(1.0, prev_s)
-        for _ in range(60):
-            step *= 0.5
-            prev_v = xf(step)
-            if prev_v != 0.0 and (prev_v > 0.0) == (inside > 0):
-                prev_s = step
-                break
-        else:
-            raise ConvergenceError("could not seed the crossing bracket")
+        # no critical times at all (so prev_s is 0): seed just inside
+        prev_s, prev_v = _seed_inside(xf, 1.0, inside)
     hi = max(2.0 * prev_s, prev_s + 1.0)
     for _ in range(MAX_EXPAND):
         v = xf(hi)

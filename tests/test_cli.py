@@ -116,6 +116,19 @@ def test_half_map_overflow_exit(tmp_path, capsys):
     assert "half-map value exceeds the double range" in capsys.readouterr().err
 
 
+def test_typed_errors_name_their_class(tmp_path, capsys):
+    # the lambda solve of the left map finds no upper bracket: a solver
+    # failure, not a precondition
+    path = write_json(tmp_path, "noconv.json", {
+        "TL": -1, "DL": 0.25000000000025, "aL": -1,
+        "TR": -1, "DR": 1, "aR": 1, "b": 0})
+    code, text = run_cli(["--input", path, "--cmd", "halfmap"])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: ConvergenceError: no upper bracket for the domain endpoint\n")
+
+
 @pytest.mark.parametrize("command", ["halfmap", "displacement"])
 def test_table_commands_evaluate_each_map_once_per_row(annulus_file, command,
                                                        monkeypatch):

@@ -289,6 +289,34 @@ def test_sign_second_requires_critical_zero():
         sign_delta_second_at_critical(ctx, ISO_ZERO, y1)  # delta' != 0 here
 
 
+@pytest.mark.parametrize("helper", [sign_delta_prime_at_zero, sign_delta_second_at_critical])
+def test_sign_helpers_solve_each_map_once(helper, monkeypatch):
+    # every point of the k = 1 family is a critical zero, so both helpers pass
+    ctx = ctx_of(HalfSystem(-1, -1, 1), HalfSystem(1, 1, 1, orientation=BWD))
+    y0 = ctx.lam + 1.0
+    y1 = evaluate(ctx.left, y0)
+    calls = []
+    evaluate_ = halfmap.evaluate
+
+    def counted(h, y):
+        calls.append(y)
+        return evaluate_(h, y)
+
+    monkeypatch.setattr(halfmap, "evaluate", counted)
+    helper(ctx, y0, y1)
+    assert len(calls) == 2
+
+
+def test_sign_second_checks_the_exact_slope_difference():
+    # the slopes come from the checked row, bit for bit delta_prime's value
+    ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
+    y1 = evaluate(ISO_LEFT, ISO_ZERO)
+    with pytest.raises(ContractError) as err:
+        sign_delta_second_at_critical(ctx, ISO_ZERO, y1)
+    assert str(err.value) == (f"delta'(y0)={delta_prime(ctx, ISO_ZERO)} "
+                              "is not zero within tolerance")
+
+
 def test_delta_smooth_on_interior(rng):
     ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
     step = 1e-3

@@ -1,14 +1,16 @@
 """Half-map evaluation, domains, derivatives, and local expansions."""
 
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 
-from pwlannulus import (ConditioningWarning, DomainError, HalfSystem, Orientation,
-                        derivative, domain, evaluate, exists, halfmap, oracle_halfmap,
-                        pv_integral, puiseux_at_lambda, q_value, sign_relation,
-                        taylor_at_zero, wpoly)
+from pwlannulus import (ConditioningWarning, DomainError, HalfSystem, NoReturnError,
+                        Orientation, PwlError, derivative, domain, evaluate, exists,
+                        halfmap, oracle_halfmap, pv_integral, puiseux_at_lambda, q_value,
+                        sign_relation, taylor_at_zero, wpoly)
 from conftest import domain_point, draw_half_system, proper_pv_interval, quad_pv
 
 FWD = Orientation.FORWARD
@@ -258,6 +260,91 @@ def test_eval_t_zero_is_reflection(rng):
             continue
         y0 = domain_point(rng, h)
         assert evaluate(h, y0) == pytest.approx(-y0, rel=1e-12, abs=1e-12)
+
+
+def test_eval_t_zero_is_the_exact_reflection():
+    # W = D*y^2 + a^2 is even and q = 0, so y1 = -y0 bit for bit, whatever
+    # the signs of a and D and however far W's roots are
+    assert evaluate(HalfSystem(1.0, 0.0, -1e-120), 1.0) == -1.0
+    for h in (HalfSystem(-1.5, 0.0, 2.0), HalfSystem(3.0, 0.0, -0.7),
+              HalfSystem(1.5, 0.0, 2.0, orientation=BWD),
+              HalfSystem(-3.0, 0.0, -0.7, orientation=BWD)):
+        for y0 in (0.1, 0.3, 1.1):
+            assert evaluate(h, y0) == -y0
+    assert math.copysign(1.0, evaluate(HalfSystem(1.0, 0.0, 1.0), 0.0)) == 1.0
+    assert math.copysign(1.0, evaluate(HalfSystem(0.0, 0.0, 1.0), 0.0)) == -1.0
+
+
+def test_eval_t_zero_matches_the_oracle():
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(120):
+        a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
+        D = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
+        h = HalfSystem(a, 0.0, D, orientation=rng.choice([FWD, BWD]))
+        if not exists(h):
+            continue
+        y0 = rng.uniform(0.05, 0.9) * min(domain(h).mu, 10.0)
+        want = oracle_halfmap(h, y0)
+        assert abs(evaluate(h, y0) - want) <= 1e-9 * max(1.0, abs(want))
+        checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("a, D", [(1e160, -1.0), (1e200, 1.0), (1e-200, -1.0),
+                                  (1e-200, 0.0)])
+def test_a_squared_outside_the_normal_range_is_refused(a, D):
+    # W's roots, and so mu, are wrong there: mu = a/sqrt(-D) read inf for
+    # a = 1e160, and for a = 1e-200 it is 1e-200, so y0 = 1 lies outside
+    h = HalfSystem(a, 0.0, D)
+    for call in (lambda: domain(h), lambda: evaluate(h, 1.0), lambda: derivative(h, 1.0)):
+        with pytest.raises(DomainError, match=r"a\^2 leaves the normal double range"):
+            call()
+
+
+def test_no_return_where_a_tiny_a_puts_mu_below_y0():
+    with pytest.raises(NoReturnError):
+        oracle_halfmap(HalfSystem(1e-200, 0.0, -1.0), 1.0)
+
+
+def test_zero_trace_and_extreme_a_give_a_value_or_a_typed_error():
+    # a, T, D each +-10**U(-320, 5) or 0, restricted to T = 0 or to a^2
+    # outside the normal range
+    rng = random.Random(1)
+
+    def scale(lo, hi):
+        return 0.0 if rng.random() < 0.1 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi)
+
+    for i in range(1500):
+        if i % 2 == 0:
+            a, T = scale(-320.0, 5.0), 0.0
+        else:
+            a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.choice(
+                [rng.uniform(-320.0, -154.5), rng.uniform(154.5, 300.0)])
+            T = scale(-320.0, 5.0)
+        h = HalfSystem(a, T, scale(-320.0, 5.0), orientation=rng.choice([FWD, BWD]))
+        y0 = 10.0 ** rng.uniform(-320.0, 5.0)
+        for call in (q_value, domain, lambda h: evaluate(h, y0), lambda h: derivative(h, y0)):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ConditioningWarning)
+                    call(h)
+            except PwlError:
+                pass
+
+
+def test_lambda_solve_passes_the_ladder_value_on(monkeypatch):
+    calls = []
+    integral = halfmap._integral
+
+    def counted(h, y1, y0):
+        calls.append(y0)
+        return integral(h, y1, y0)
+
+    monkeypatch.setattr(halfmap, "_integral", counted)
+    lam = domain(HalfSystem(-1.0, -1.0, 1.0)).lam
+    assert len(calls) == 11
+    assert lam == float.fromhex("0x1.85f19dccdda20p+3")
 
 
 def test_w_positive_between_images(rng):

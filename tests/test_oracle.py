@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from pwlannulus import (CanonicalSystem, DomainError, HalfSystem, NoReturnError, Orientation,
-                        PreconditionError, SpectralCase, TangencyError, ZoneFlow,
-                        evaluate, flow, next_crossing, oracle_halfmap,
-                        sample_trajectory, verify_periodic)
+from pwlannulus import (CanonicalSystem, ConvergenceError, DomainError, HalfSystem,
+                        NoReturnError, Orientation, PreconditionError, SpectralCase,
+                        TangencyError, ZoneFlow, evaluate, flow, next_crossing,
+                        oracle_halfmap, sample_trajectory, verify_periodic)
 from conftest import domain_point, draw_half_system
 
 FWD = Orientation.FORWARD
@@ -147,6 +147,17 @@ def test_crossing_with_an_infinite_equilibrium_is_a_domain_error():
     z = ZoneFlow(T=0.0, D=1e-320, a=-1.0)
     with pytest.raises(DomainError, match="equilibrium"):
         next_crossing(z, 1.0, FWD)
+
+
+@pytest.mark.parametrize("zone", [
+    ZoneFlow(T=0.0, D=1.0, a=-1.0),   # a center: phi stays 0 on the first segment
+    ZoneFlow(T=1.0, D=0.0, a=-1.0),   # no critical time at all
+])
+def test_crossing_seed_fails_near_a_tangential_start(zone):
+    # at y0 = 1e-16 the orbit leaves the line so slowly that phi rounds to 0
+    # on every halving toward the start
+    with pytest.raises(ConvergenceError, match="could not seed the crossing bracket"):
+        next_crossing(zone, 1e-16, BWD)
 
 
 def test_saddle_zone_crossing():

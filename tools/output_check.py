@@ -1,0 +1,306 @@
+"""Record the package's observable outputs as JSON lines, or compare two records.
+
+    python tools/output_check.py [TREE] > out.jsonl
+    python tools/output_check.py --diff A.jsonl B.jsonl
+
+The first form imports pwlannulus from TREE/src (default: the checkout that
+holds this file) and writes one JSON object per line, in a fixed order:
+
+- kind "cli": stdout, stderr and exit code of every command, in both output
+  formats and both input schemas, with and without --span 3.0, at --grid 24,
+  on a fixed list of systems;
+- kind "map": repr of domain, evaluate and derivative at seeded half-system
+  points, y0 = lam included, or the error each call raised;
+- kind "sign": the results of sign_delta_prime_at_zero and
+  sign_delta_second_at_critical at zeros and at points that break a
+  hypothesis.
+
+Record the parent and the change and diff the two files: identical files
+mean identical outputs.  --diff prints, per kind, how many records differ and
+the largest change, in units in the last place, between the floats that the
+two records print in the same positions.  It uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import random
+import re
+import struct
+import sys
+import tempfile
+import warnings
+
+GRID = "24"
+SPAN = "3.0"
+MAP_POINTS_PER_CATEGORY = 400
+
+README_PAIR = {"TL": -2.0, "DL": 4.0, "aL": -2.0, "TR": 1.0, "DR": 1.0, "aR": 1.0, "b": 0.0}
+
+
+def _family(aR, TR, DR, k, b=0.0):
+    """Canonical entries of annulus_family(aR, TR, DR, k, offset=b)."""
+    rk = math.sqrt(k)
+    return {"TL": -rk * TR, "DL": k * DR, "aL": -rk * aR,
+            "TR": TR, "DR": DR, "aR": aR, "b": b}
+
+
+def _systems():
+    """(name, canonical entries) of the fixed systems, seeded random ones last."""
+    fixed = [
+        ("readme-pair", README_PAIR),
+        ("convergence-failure", {"TL": -1.0, "DL": 0.25000000000025, "aL": -1.0,
+                                 "TR": -1.0, "DR": 1.0, "aR": 1.0, "b": 0.0}),
+        ("a0-overflow", {"TL": 1.0, "DL": 0.25000000000025, "aL": 0.0,
+                         "TR": -1.0, "DR": 1.0, "aR": 1.0, "b": 0.0}),
+        ("right-focus-tr-neg", {"TL": 1.0, "DL": 1.0, "aL": -1.0,
+                                "TR": -1.0, "DR": 1.0, "aR": 1.0, "b": 0.0}),
+        ("t0-centers", {"TL": 0.0, "DL": 1.0, "aL": -1.0,
+                        "TR": 0.0, "DR": 2.0, "aR": 1.5, "b": 0.0}),
+        ("t0-saddles", {"TL": 0.0, "DL": -1.0, "aL": 1.0,
+                        "TR": 0.0, "DR": -2.0, "aR": -0.5, "b": 0.0}),
+        ("t0-tiny-det", {"TL": 0.0, "DL": 1e-300, "aL": -1.0,
+                         "TR": 0.0, "DR": 1.0, "aR": 1.0, "b": 0.0}),
+        ("t0-left-shifted", {"TL": 0.0, "DL": 2.0, "aL": -1.0,
+                             "TR": 1.0, "DR": 1.0, "aR": 1.0, "b": 0.3}),
+        ("isolated-b0", {"TL": 0.5, "DL": 1.0, "aL": -1.0,
+                         "TR": -0.5, "DR": 1.3, "aR": 2.0, "b": 0.0}),
+        ("isolated-b03", {"TL": 0.5, "DL": 1.0, "aL": -1.0,
+                          "TR": -0.5, "DR": 1.3, "aR": 2.0, "b": 0.3}),
+        ("empty-domain", {"TL": 3.0, "DL": 2.0, "aL": 1.0,
+                          "TR": 0.0, "DR": 1.0, "aR": 1.0, "b": 10.0}),
+        ("non-existent", {"TL": 1.0, "DL": -1.0, "aL": -1.0,
+                          "TR": 1.0, "DR": 1.0, "aR": 1.0, "b": 0.0}),
+        ("huge-a", {"TL": 0.0, "DL": -1.0, "aL": 1e160,
+                    "TR": 1.0, "DR": 1.0, "aR": 1.0, "b": 0.0}),
+        ("family-1-1-1-2", _family(1.0, 1.0, 1.0, 2.0)),
+        ("family-2-05-1-5", _family(2.0, 0.5, 1.0, 5.0)),
+        ("family-15-08-09-25", _family(1.5, -0.8, 0.9, 2.5)),
+        ("family-2-13-1-03", _family(2.0, 1.3, 1.0, 0.3)),
+        ("family-focus-node", _family(-2.2635, -1.5153, 0.6038, 1.1222)),
+        ("family-beta-broken", _family(1.2, 0.7, 1.1, 2.7, b=0.25)),
+    ]
+    rng = random.Random(8)
+    drawn = []
+    for i in range(10):
+        aL, aR = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        TL, TR = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        DL = TL * TL / 4.0 + rng.uniform(-0.5, 2.0)
+        DR = TR * TR / 4.0 + rng.uniform(-0.5, 2.0)
+        b = 0.0 if i % 2 == 0 else rng.uniform(-0.5, 0.5)
+        drawn.append((f"random-{i}", {"TL": TL, "DL": DL, "aL": aL,
+                                      "TR": TR, "DR": DR, "aR": aR, "b": b}))
+    return fixed + drawn
+
+
+def _raw(c):
+    """The raw-schema file of canonical entries: the Liénard matrices."""
+    return {"AL": [c["TL"], -1.0, c["DL"], 0.0], "bL": [0.0, -c["aL"]],
+            "AR": [c["TR"], -1.0, c["DR"], 0.0], "bR": [c["b"], -c["aR"]]}
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the name and message of what it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return repr(fn(*args))
+    except Exception as exc:  # the record names every outcome, raw ones too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cli_records(pw, tmpdir):
+    for name, entries in _systems():
+        for schema, payload in (("canonical", entries), ("raw", _raw(entries))):
+            path = os.path.join(tmpdir, f"{name}-{schema}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            for command in pw.cli.COMMANDS:
+                for fmt in pw.cli.FORMATS:
+                    for span in ((), ("--span", SPAN)):
+                        argv = ["--input", path, "--cmd", command, "--format", fmt,
+                                "--grid", GRID, *span]
+                        out, err = io.StringIO(), io.StringIO()
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("ignore")
+                                try:
+                                    code = pw.cli.main(argv)
+                                except Exception as exc:
+                                    code = f"raised {type(exc).__name__}: {exc}"
+                        key = " ".join([name, schema, *argv[2:]])
+                        yield {"kind": "cli", "key": key, "code": code,
+                               "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _triples(rng, category):
+    """(a, T, D) of one forward half-system drawn in the named category."""
+    T = rng.uniform(-2.0, 2.0)
+    if category == "a_neg_complex":
+        return rng.uniform(-3.0, -0.2), T, T * T / 4.0 * (1.0 + rng.uniform(0.2, 3.0)) + 0.1
+    if category == "a_neg_lam":
+        T = -rng.uniform(0.2, 2.0)
+        return rng.uniform(-3.0, -0.2), T, T * T / 4.0 + rng.uniform(0.1, 2.0)
+    if category == "a_zero":
+        return 0.0, T, T * T / 4.0 + rng.uniform(0.1, 2.0)
+    if category == "a_pos_complex":
+        return rng.uniform(0.2, 3.0), T, T * T / 4.0 + rng.uniform(0.1, 2.0)
+    if category == "a_pos_real":
+        T = rng.choice([-1.0, 1.0]) * rng.uniform(1.5, 3.0)
+        return rng.uniform(0.2, 3.0), T, rng.uniform(0.05, 0.9) * T * T / 4.0
+    if category == "a_pos_det_neg":
+        return rng.uniform(0.2, 3.0), T, rng.uniform(-2.0, -0.1)
+    if category == "a_pos_double":
+        T = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.5)
+        return rng.uniform(0.2, 3.0), T, T * T / 4.0
+    if category == "a_pos_det_zero":
+        return rng.uniform(0.2, 3.0), T, 0.0
+    if category == "t_zero":
+        D = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 2.0)
+        return rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0), 0.0, D
+    if category == "extreme_a":
+        a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.choice([rng.uniform(-320.0, -154.0),
+                                                            rng.uniform(154.5, 300.0)])
+        return a, rng.choice([0.0, T]), T * T / 4.0 + rng.uniform(-1.0, 2.0)
+    raise ValueError(category)
+
+
+MAP_CATEGORIES = ("a_neg_complex", "a_neg_lam", "a_zero", "a_pos_complex", "a_pos_real",
+                  "a_pos_det_neg", "a_pos_double", "a_pos_det_zero", "t_zero", "extreme_a")
+
+
+def _map_records(pw):
+    rng = random.Random(20261018)
+    for category in MAP_CATEGORIES:
+        for i in range(MAP_POINTS_PER_CATEGORY):
+            a, T, D = _triples(rng, category)
+            orientation = rng.choice(list(pw.Orientation))
+            if orientation is pw.Orientation.BACKWARD:
+                a, T = -a, -T
+            h = pw.HalfSystem(a, T, D, orientation)
+            u, y0 = rng.random(), rng.uniform(0.0, 5.0)  # y0 where there is no domain
+            try:
+                d = pw.domain(h)
+            except Exception:  # recorded below
+                pass
+            else:
+                hi = min(d.mu, d.lam + 10.0 * max(1.0, d.lam))
+                y0 = d.lam if u < 0.05 else d.lam + (u - 0.05) / 0.95 * (hi - d.lam)
+            yield {"kind": "map", "key": f"{category} {i} {h!r}", "y0": repr(y0),
+                   "domain": _outcome(pw.domain, h),
+                   "evaluate": _outcome(pw.evaluate, h, y0),
+                   "derivative": _outcome(pw.derivative, h, y0)}
+
+
+def _sign_records(pw):
+    bwd = pw.Orientation.BACKWARD
+    contexts = [
+        ("isolated", pw.HalfSystem(-1.0, 0.5, 1.0), pw.HalfSystem(2.0, -0.5, 1.3, bwd), 0.0),
+        ("family-k4", pw.HalfSystem(-2.0, -2.0, 4.0), pw.HalfSystem(1.0, 1.0, 1.0, bwd), 0.0),
+        ("family-k2.7", pw.HalfSystem(-math.sqrt(2.7) * 1.2, -math.sqrt(2.7) * 0.7, 2.7 * 1.1),
+         pw.HalfSystem(1.2, 0.7, 1.1, bwd), 0.0),
+        ("t0-symmetric", pw.HalfSystem(-1.0, 0.0, 1.0), pw.HalfSystem(1.0, 0.0, 1.0, bwd), 0.0),
+        ("a0-pair", pw.HalfSystem(0.0, 1.0, 1.0), pw.HalfSystem(0.0, 1.0, 1.0, bwd), 0.0),
+        ("shifted", pw.HalfSystem(-1.0, 0.0, 1.0), pw.HalfSystem(1.0, 0.0, 1.0, bwd), 0.5),
+    ]
+    for name, left, right, b in contexts:
+        ctx = pw.make_context(left, right, b)
+        points = [ctx.lam, ctx.lam + 0.5, ctx.lam + 1.0, ctx.lam + 2.5, ctx.lam + 7.0]
+        points += [o.y0 for o in pw.find_crossing_orbits(ctx, 64)]
+        for y0 in points:
+            try:
+                y1s = [pw.evaluate(left, y0)]
+            except pw.PwlError:
+                y1s = [-1.0]
+            y1s += [y1s[0] * (1.0 + 1e-3), 0.5]
+            for y1 in y1s:
+                yield {"kind": "sign", "key": f"{name} y0={y0!r} y1={y1!r}",
+                       "prime": _outcome(pw.sign_delta_prime_at_zero, ctx, y0, y1),
+                       "second": _outcome(pw.sign_delta_second_at_critical, ctx, y0, y1)}
+
+
+def record(tree: str, out) -> None:
+    sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
+    import pwlannulus as pw
+    from pwlannulus import cli  # noqa: F401  (binds pw.cli)
+
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for rec in _cli_records(pw, tmpdir):
+            out.write(json.dumps(rec) + "\n")
+    for rec in _map_records(pw):
+        out.write(json.dumps(rec) + "\n")
+    for rec in _sign_records(pw):
+        out.write(json.dumps(rec) + "\n")
+
+
+_FLOAT = re.compile(r"-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+|inf)")
+
+
+def _ulps(x: float, y: float) -> int:
+    def ordered(v):
+        (n,) = struct.unpack("<q", struct.pack("<d", v))
+        return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
+    return abs(ordered(x) - ordered(y))
+
+
+def _max_ulps(a: str, b: str) -> int | None:
+    """Largest ulp change between the floats a and b print in the same places."""
+    fa, fb = _FLOAT.findall(a), _FLOAT.findall(b)
+    if len(fa) != len(fb) or _FLOAT.sub("#", a) != _FLOAT.sub("#", b):
+        return None
+    return max((_ulps(float(x), float(y)) for x, y in zip(fa, fb)), default=0)
+
+
+def diff(path_a: str, path_b: str) -> int:
+    """Print, per kind and field, the records that differ; 1 when any does."""
+    def load(path):
+        with open(path, encoding="utf-8") as fh:
+            return {(r["kind"], r["key"]): r for r in map(json.loads, fh)}
+
+    a, b = load(path_a), load(path_b)
+    changed = 0
+    for kind in sorted({k for k, _ in a} | {k for k, _ in b}):
+        keys = sorted({k for k in a if k[0] == kind} | {k for k in b if k[0] == kind})
+        unmatched = [k for k in keys if k not in a or k not in b]
+        fields = {}   # field -> [records differing, float-only, largest ulp]
+        lines = []
+        for key in keys:
+            ra, rb = a.get(key), b.get(key)
+            if key in unmatched or ra == rb:
+                continue
+            names = [f for f in ra if ra[f] != rb.get(f)]
+            for f in names:
+                count = fields.setdefault(f, [0, 0, 0])
+                count[0] += 1
+                u = _max_ulps(str(ra[f]), str(rb.get(f)))
+                if u is not None:
+                    count[1] += 1
+                    count[2] = max(count[2], u)
+            lines.append(f"  {key[1]}: {', '.join(names)}")
+        changed += len(lines) + len(unmatched)
+        print(f"{kind}: {len(keys)} records, {len(lines)} differ, {len(unmatched)} unmatched")
+        for f, (n, floats, worst) in sorted(fields.items()):
+            print(f"  {f}: {n} differ, {floats} only in floats (largest {worst} ulp)")
+        print("\n".join(lines + [f"  unmatched: {k[1]}" for k in unmatched]))
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree", nargs="?",
+                        default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
+    record(args.tree, sys.stdout)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
