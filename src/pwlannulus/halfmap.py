@@ -20,8 +20,14 @@ antiderivatives; root-finding on the lower endpoint is a bracketed bisection
 refined by safeguarded Newton steps.
 
 Everything in that identity except y0 is a per-system constant, fixed when
-a HalfSystem is built (see HalfSystem); the domain [lam, mu) needs a solve
-that may fail, so it is solved on first use and then kept as well.
+a HalfSystem is built (see HalfSystem): W, its discriminant and roots, q,
+and the integral's formula branch with that branch's constants (W's
+coefficients, 2D, and aT/(2D) combined with sqrt|disc| as the branch uses
+them, or a*T and T^2 when W is linear, or eps*a^2 and 2a^2 when T = 0).
+A solve therefore forms only the endpoint terms per residual, and each
+Newton step gets the residual and its slope from one call.  The domain
+[lam, mu) needs a solve that may fail, so it is solved on first use and then
+kept as well.
 
 Exact zero tests (a == 0, T == 0, D == 0, 4D == T^2) select degenerate
 formula branches on purpose: these are structural cases the caller sets
@@ -56,8 +62,9 @@ class Orientation(enum.Enum):
 class HalfSystem:
     """One zone's reduced triple plus the travel direction through its flow.
 
-    Construction keeps the forward triple, W, W.disc, W.roots() and q (None
-    when the half-map does not exist) on the instance.
+    Construction keeps the forward triple, W, W.disc, W.roots(), q (None
+    when the half-map does not exist) and _integral's formula branch with its
+    constants (see _kernel) on the instance.
     """
 
     a: float
@@ -73,9 +80,10 @@ class HalfSystem:
         w = WPolynomial(c2=D, c1=-a * T, c0=a * a)
         if self.orientation is Orientation.BACKWARD:
             a, T = -a, -T
+        disc = w.disc
         # written past the frozen __setattr__, as functools.cached_property does
-        self.__dict__.update(_triple=(a, T, D), _w=w, _disc=w.disc,
-                             _roots=tuple(w.roots()), _q=_q(a, T, D))
+        self.__dict__.update(_triple=(a, T, D), _w=w, _disc=disc, _roots=tuple(w.roots()),
+                             _q=_q(a, T, D), _kernel=_kernel(a, T, D, w, disc))
 
     def forward_triple(self) -> tuple[float, float, float]:
         """The equivalent forward triple; backward maps dualize (a,T) -> (-a,-T)."""
@@ -141,6 +149,29 @@ def _q(a: float, T: float, D: float) -> float | None:
     return val if a == 0.0 else 2.0 * val
 
 
+def _kernel(a: float, T: float, D: float, w: WPolynomial, disc: float) -> tuple:
+    """_integral's formula branch for a forward triple and that branch's constants.
+
+    (branch, c2, c1, c0, 2D, k): W's coefficients, 2D, and k, the branch's
+    own constants.  Each constant is a subexpression that _integral's formula
+    groups on its own, so forming it once moves no result by a bit.
+    """
+    c2, c1, c0 = w.c2, w.c1, w.c0
+    two_d = 2.0 * D
+    if T == 0.0:
+        return "even", c2, c1, c0, two_d, (abs(D), sys.float_info.epsilon * a * a, 2.0 * a * a)
+    if D == 0.0:
+        return "linear", c2, c1, c0, two_d, (a, T, a * T, T * T)
+    coeff = -c1 / two_d                     # aT / (2D)
+    if disc < 0.0:
+        s = math.sqrt(-disc)
+        return "complex", c2, c1, c0, two_d, (s, s * s, coeff * (2.0 / s))
+    if disc == 0.0:
+        return "double", c2, c1, c0, two_d, 2.0 * coeff
+    s = math.sqrt(disc)
+    return "real", c2, c1, c0, two_d, (s, 2.0 * s, coeff)
+
+
 @dataclass(frozen=True)
 class HalfMapDomain:
     """Definition interval [lam, mu) of a half-map; mu may be math.inf."""
@@ -185,38 +216,39 @@ def _integral(h: HalfSystem, y1: float, y0: float) -> float:
     antiderivative values cancels catastrophically for nearly degenerate
     discriminants.  Branch selection uses W's discriminant, the exact
     expression its roots come from, so the pole structure seen here always
-    matches the roots the callers screen for.
+    matches the roots the callers screen for.  The branch and its constants
+    come from the HalfSystem (see _kernel); only the endpoint terms are
+    formed here.
     """
     if y1 == y0:
         return 0.0
-    a, T, D = h._triple
-    w = h._w
-    if T == 0.0:
+    branch, c2, c1, c0, two_d, k = h._kernel
+    if branch == "even":
         # W = a^2 + D*y^2 is the constant a^2 where D*y^2 is below its
         # rounding: D = 0, or a determinant so small the logarithm reads 0.
-        if abs(D) * max(y0 * y0, y1 * y1) <= sys.float_info.epsilon * a * a:
-            return (y1 - y0) * (y1 + y0) / (2.0 * a * a)
-        return -math.log(w(y0) / w(y1)) / (2.0 * D)
-    if D == 0.0:  # W is linear
-        return (y0 - y1) / (a * T) + math.log((a - T * y0) / (a - T * y1)) / (T * T)
-    lead = -math.log(w(y0) / w(y1)) / (2.0 * D)
-    coeff = -w.c1 / (2.0 * w.c2)            # aT / (2D)
-    u0 = 2.0 * w.c2 * y0 + w.c1             # 2Dy - aT at each endpoint
-    u1 = 2.0 * w.c2 * y1 + w.c1
-    disc = h._disc
-    if disc < 0.0:
-        s = math.sqrt(-disc)
-        ang = math.atan2(s * (u0 - u1), s * s + u0 * u1)
-        return lead - coeff * (2.0 / s) * ang
-    if disc == 0.0:
+        abs_d, eps_a2, two_a2 = k
+        if abs_d * max(y0 * y0, y1 * y1) <= eps_a2:
+            return (y1 - y0) * (y1 + y0) / two_a2
+    elif branch == "linear":  # D = 0
+        a, T, a_t, t_t = k
+        return (y0 - y1) / a_t + math.log((a - T * y0) / (a - T * y1)) / t_t
+    lead = -math.log(((c2 * y0 + c1) * y0 + c0) / ((c2 * y1 + c1) * y1 + c0)) / two_d
+    if branch == "even":
+        return lead
+    u0 = two_d * y0 + c1                    # 2Dy - aT at each endpoint
+    u1 = two_d * y1 + c1
+    if branch == "complex":
+        s, s_s, arc = k
+        return lead - arc * math.atan2(s * (u0 - u1), s_s + u0 * u1)
+    if branch == "double":
         if u0 * u1 == 0.0:
             raise DomainError("integration endpoint sits on a W root")
-        return lead + 2.0 * coeff * (u1 - u0) / (u0 * u1)
-    s = math.sqrt(disc)
+        return lead + k * (u1 - u0) / (u0 * u1)
+    s, two_s, coeff = k
     den = (u0 + s) * (u1 - s)
     if den == 0.0:
         raise DomainError("integration endpoint sits on a W root")
-    ratio = 2.0 * s * (u0 - u1) / den
+    ratio = two_s * (u0 - u1) / den
     if ratio <= -1.0:  # the cross-ratio rounded onto the root
         raise DomainError("integration endpoint sits on a W root")
     return lead - coeff * math.log1p(ratio) / s
@@ -242,11 +274,12 @@ def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
     return _integral(h, y1, y0)
 
 
-def _bracketed_newton(f, fprime, lo, hi, flo, fhi):
-    """Root of f on [lo, hi] with a sign change; bisection-safeguarded Newton.
+def _bracketed_newton(fd, lo, hi, flo, fhi):
+    """Root of f on [lo, hi], lo < hi, with a sign change; safeguarded Newton.
 
-    Converges on the residual first, then keeps polishing until the Newton
-    step stalls at the floating-point floor.
+    fd(v) returns (f(v), f'(v)) from one call.  Converges on the residual
+    first, then keeps polishing until the Newton step stalls at the
+    floating-point floor; a step that leaves the bracket is a bisection.
     """
     if flo == 0.0:
         return lo
@@ -257,22 +290,21 @@ def _bracketed_newton(f, fprime, lo, hi, flo, fhi):
     pos_at_lo = flo > 0.0
     v = 0.5 * (lo + hi)
     for _ in range(MAX_ITER):
-        fv = f(v)
+        fv, d = fd(v)
         if fv == 0.0:
             return v
         if (fv > 0.0) == pos_at_lo:
             lo = v
         else:
             hi = v
-        width = abs(hi - lo)
-        if width <= STEP_TOL * max(1.0, abs(v)):
+        floor = STEP_TOL * max(1.0, abs(v))
+        if hi - lo <= floor:
             return v
-        d = fprime(v)
         step = fv / d if d != 0.0 else math.inf
         cand = v - step
-        if not (min(lo, hi) < cand < max(lo, hi)) or not math.isfinite(cand):
+        if not lo < cand < hi:  # also a nan or infinite step
             cand = 0.5 * (lo + hi)
-        if abs(fv) <= RESIDUAL_TOL and abs(cand - v) <= STEP_TOL * max(1.0, abs(v)):
+        if abs(fv) <= RESIDUAL_TOL and abs(cand - v) <= floor:
             return cand
         v = cand
     raise ConvergenceError("half-map root-finding failed to converge")
@@ -295,11 +327,11 @@ def _solve_lambda(h: HalfSystem) -> float:
     def g(lam):
         return _integral(h, 0.0, lam) - q
 
-    def gp(lam):
-        return -lam / w(lam)
+    def gd(lam):
+        return _integral(h, 0.0, lam) - q, -lam / w(lam)
 
     hi, ghi = _doubling_ladder(g, 1.0, -1.0, "no upper bracket for the domain endpoint")
-    return _bracketed_newton(g, gp, 0.0, hi, -q, ghi)
+    return _bracketed_newton(gd, 0.0, hi, -q, ghi)
 
 
 def domain(h: HalfSystem) -> HalfMapDomain:
@@ -308,17 +340,24 @@ def domain(h: HalfSystem) -> HalfMapDomain:
     mu is the smallest strictly positive root of W (math.inf when none).
     lam is zero except in the forward case a < 0, 4D - T^2 > 0, T < 0 (and its
     backward dual), where it solves the defining identity with map value 0.
-    Raises DomainError when the half-map does not exist, or when a^2 (a != 0)
-    is not a normal double, where W's roots are off.  The interval is kept on
-    the HalfSystem instance once solved; a solve that raises keeps nothing.
+    Raises DomainError when the half-map does not exist, and where doubles
+    cannot carry W: a^2 (a != 0) not a normal double, where W's roots are
+    off; T^2 not one with D = 0 (T != 0), where the linear-W formula divides
+    by 0 or inf; both terms of W's discriminant rounding to 0 (a, D != 0),
+    where its sign, and so mu, is lost.  The interval is kept on the
+    HalfSystem instance once solved; a solve that raises keeps nothing.
     """
     dom = h.__dict__.get("_domain")
     if dom is None:
         if not exists(h):
             raise DomainError("half-map does not exist for this triple")
-        a, T, _ = h._triple
+        a, T, D = h._triple
         if a != 0.0 and not sys.float_info.min <= a * a <= sys.float_info.max:
             raise DomainError("a^2 leaves the normal double range")
+        if D == 0.0 and T != 0.0 and not sys.float_info.min <= T * T <= sys.float_info.max:
+            raise DomainError("T^2 leaves the normal double range")
+        if a != 0.0 and D != 0.0 and h._disc == 0.0 and 4.0 * D * h._w.c0 == 0.0:
+            raise DomainError("W's discriminant underflows to 0 and loses its sign")
         pos = [r for r in h._roots if r > 0.0]
         # an existing map with a < 0 has 4D - T^2 > 0
         lam = _solve_lambda(h) if a < 0.0 and T < 0.0 else 0.0
@@ -387,8 +426,8 @@ def evaluate(h: HalfSystem, y0: float) -> float:
     def resid(v):
         return _integral(h, v, y0) - q
 
-    def resid_prime(v):
-        return v / w(v)
+    def resid_d(v):
+        return _integral(h, v, y0) - q, v / w(v)
 
     f0 = resid(0.0)
     if f0 >= 0.0:
@@ -400,7 +439,7 @@ def evaluate(h: HalfSystem, y0: float) -> float:
     lo, flo = _lower_bracket(h, resid, y0)
     if flo is None:
         return lo
-    return _bracketed_newton(resid, resid_prime, lo, 0.0, flo, f0)
+    return _bracketed_newton(resid_d, lo, 0.0, flo, f0)
 
 
 def _require_interior(h: HalfSystem, y0: float) -> None:

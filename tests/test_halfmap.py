@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -308,21 +309,28 @@ def test_no_return_where_a_tiny_a_puts_mu_below_y0():
 
 
 def test_zero_trace_and_extreme_a_give_a_value_or_a_typed_error():
-    # a, T, D each +-10**U(-320, 5) or 0, restricted to T = 0 or to a^2
-    # outside the normal range
+    # a, T, D each +-10**U(-320, 5) or 0, restricted to T = 0, to a^2
+    # outside the normal range, or to a tiny trace with a tiny or zero
+    # determinant, where T^2 (D = 0) or both terms of W's discriminant
+    # underflow
     rng = random.Random(1)
 
     def scale(lo, hi):
         return 0.0 if rng.random() < 0.1 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi)
 
-    for i in range(1500):
-        if i % 2 == 0:
+    for i in range(2250):
+        D = scale(-320.0, 5.0)
+        if i % 3 == 0:
             a, T = scale(-320.0, 5.0), 0.0
-        else:
+        elif i % 3 == 1:
             a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.choice(
                 [rng.uniform(-320.0, -154.5), rng.uniform(154.5, 300.0)])
             T = scale(-320.0, 5.0)
-        h = HalfSystem(a, T, scale(-320.0, 5.0), orientation=rng.choice([FWD, BWD]))
+        else:
+            a = scale(-320.0, 5.0)
+            T = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320.0, -26.0)
+            D = rng.choice([0.0, scale(-320.0, -26.0)])
+        h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
         y0 = 10.0 ** rng.uniform(-320.0, 5.0)
         for call in (q_value, domain, lambda h: evaluate(h, y0), lambda h: derivative(h, y0)):
             try:
@@ -331,6 +339,12 @@ def test_zero_trace_and_extreme_a_give_a_value_or_a_typed_error():
                     call(h)
             except PwlError:
                 pass
+    # the two underflows behind the raw exceptions such draws used to raise
+    with pytest.raises(DomainError, match=r"T\^2 leaves the normal double range"):
+        evaluate(HalfSystem(2.4205493305639027e-42, -2.4658393275292266e-235, 0.0), 1e-300)
+    with pytest.raises(DomainError, match="discriminant underflows"):
+        evaluate(HalfSystem(3.088132217533395e-152, 6.061098101741117e-208,
+                            -2.4594525510158607e-99), 1.0)
 
 
 def test_lambda_solve_passes_the_ladder_value_on(monkeypatch):
@@ -345,6 +359,78 @@ def test_lambda_solve_passes_the_ladder_value_on(monkeypatch):
     lam = domain(HalfSystem(-1.0, -1.0, 1.0)).lam
     assert len(calls) == 11
     assert lam == float.fromhex("0x1.85f19dccdda20p+3")
+
+
+def _integral_reference(h, y1, y0):
+    """The per-call _integral that derived every branch constant on each call."""
+    if y1 == y0:
+        return 0.0
+    a, T, D = h._triple
+    w = h._w
+    if T == 0.0:
+        if abs(D) * max(y0 * y0, y1 * y1) <= sys.float_info.epsilon * a * a:
+            return (y1 - y0) * (y1 + y0) / (2.0 * a * a)
+        return -math.log(w(y0) / w(y1)) / (2.0 * D)
+    if D == 0.0:
+        return (y0 - y1) / (a * T) + math.log((a - T * y0) / (a - T * y1)) / (T * T)
+    lead = -math.log(w(y0) / w(y1)) / (2.0 * D)
+    coeff = -w.c1 / (2.0 * w.c2)
+    u0 = 2.0 * w.c2 * y0 + w.c1
+    u1 = 2.0 * w.c2 * y1 + w.c1
+    disc = h._disc
+    if disc < 0.0:
+        s = math.sqrt(-disc)
+        ang = math.atan2(s * (u0 - u1), s * s + u0 * u1)
+        return lead - coeff * (2.0 / s) * ang
+    if disc == 0.0:
+        if u0 * u1 == 0.0:
+            raise DomainError("integration endpoint sits on a W root")
+        return lead + 2.0 * coeff * (u1 - u0) / (u0 * u1)
+    s = math.sqrt(disc)
+    den = (u0 + s) * (u1 - s)
+    if den == 0.0:
+        raise DomainError("integration endpoint sits on a W root")
+    ratio = 2.0 * s * (u0 - u1) / den
+    if ratio <= -1.0:
+        raise DomainError("integration endpoint sits on a W root")
+    return lead - coeff * math.log1p(ratio) / s
+
+
+def _integral_outcome(fn, h, y1, y0):
+    try:
+        return repr(fn(h, y1, y0))
+    except (ArithmeticError, ValueError, PwlError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_integral_repeats_the_per_call_reference_bitwise():
+    rng = random.Random(9)
+
+    def triple(branch):
+        a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
+        T = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0)
+        if branch == "even":
+            return a, 0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-40.0, 1.0)
+        if branch == "linear":
+            return a, T, 0.0
+        if branch == "complex":
+            return a, T, T * T / 4.0 * (1.0 + 10.0 ** rng.uniform(-12.0, 2.0))
+        if branch == "double":
+            return a, T, T * T / 4.0
+        return a, T, rng.choice([-1.0, 1.0]) * T * T / 4.0 * rng.uniform(1e-6, 0.999)
+
+    seen = set()
+    for branch in ("even", "linear", "complex", "double", "real"):
+        for _ in range(300):
+            a, T, D = triple(branch)
+            h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
+            seen.add(h._kernel[0])
+            ys = [rng.uniform(-20.0, 20.0) for _ in range(4)] + list(h._roots) + [0.0]
+            for y1 in ys:
+                for y0 in ys:
+                    assert (_integral_outcome(halfmap._integral, h, y1, y0)
+                            == _integral_outcome(_integral_reference, h, y1, y0))
+    assert seen == {"even", "linear", "complex", "double", "real"}
 
 
 def test_w_positive_between_images(rng):

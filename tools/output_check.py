@@ -10,13 +10,16 @@ holds this file) and writes one JSON object per line, in a fixed order:
   formats and both input schemas, with and without --span 3.0, at --grid 24,
   on a fixed list of systems;
 - kind "map": repr of domain, evaluate and derivative at seeded half-system
-  points, y0 = lam included, or the error each call raised;
+  points, y0 = lam included, or the error each call raised, and how many
+  halfmap._integral calls the first domain call and evaluate made (counted
+  by wrapping the module attribute from outside, so any tree can be
+  recorded);
 - kind "sign": the results of sign_delta_prime_at_zero and
   sign_delta_second_at_critical at zeros and at points that break a
   hypothesis.
 
 Record the parent and the change and diff the two files: identical files
-mean identical outputs.  --diff prints, per kind, how many records differ and
+mean identical outputs, and for the map points identical solver paths.  --diff prints, per kind, how many records differ and
 the largest change, in units in the last place, between the floats that the
 two records print in the same positions.  It uses only the standard library.
 """
@@ -167,14 +170,34 @@ def _triples(rng, category):
         a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.choice([rng.uniform(-320.0, -154.0),
                                                             rng.uniform(154.5, 300.0)])
         return a, rng.choice([0.0, T]), T * T / 4.0 + rng.uniform(-1.0, 2.0)
+    if category == "tiny_trace":
+        T = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320.0, -26.0)
+        D = rng.choice([0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320.0, -26.0)])
+        return rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-154.0, 5.0), T, D
     raise ValueError(category)
 
 
 MAP_CATEGORIES = ("a_neg_complex", "a_neg_lam", "a_zero", "a_pos_complex", "a_pos_real",
-                  "a_pos_det_neg", "a_pos_double", "a_pos_det_zero", "t_zero", "extreme_a")
+                  "a_pos_det_neg", "a_pos_double", "a_pos_det_zero", "t_zero", "extreme_a",
+                  "tiny_trace")
 
 
 def _map_records(pw):
+    calls = [0]
+    integral = pw.halfmap._integral
+
+    def counted(h, y1, y0):
+        calls[0] += 1
+        return integral(h, y1, y0)
+
+    pw.halfmap._integral = counted
+    try:
+        yield from _map_points(pw, calls)
+    finally:
+        pw.halfmap._integral = integral
+
+
+def _map_points(pw, calls):
     rng = random.Random(20261018)
     for category in MAP_CATEGORIES:
         for i in range(MAP_POINTS_PER_CATEGORY):
@@ -184,6 +207,7 @@ def _map_records(pw):
                 a, T = -a, -T
             h = pw.HalfSystem(a, T, D, orientation)
             u, y0 = rng.random(), rng.uniform(0.0, 5.0)  # y0 where there is no domain
+            calls[0] = 0
             try:
                 d = pw.domain(h)
             except Exception:  # recorded below
@@ -191,10 +215,14 @@ def _map_records(pw):
             else:
                 hi = min(d.mu, d.lam + 10.0 * max(1.0, d.lam))
                 y0 = d.lam if u < 0.05 else d.lam + (u - 0.05) / 0.95 * (hi - d.lam)
-            yield {"kind": "map", "key": f"{category} {i} {h!r}", "y0": repr(y0),
-                   "domain": _outcome(pw.domain, h),
-                   "evaluate": _outcome(pw.evaluate, h, y0),
-                   "derivative": _outcome(pw.derivative, h, y0)}
+            domain_calls = calls[0]
+            rec = {"kind": "map", "key": f"{category} {i} {h!r}", "y0": repr(y0),
+                   "domain": _outcome(pw.domain, h)}
+            calls[0] = 0
+            rec["evaluate"] = _outcome(pw.evaluate, h, y0)
+            rec["calls"] = f"domain {domain_calls} evaluate {calls[0]}"
+            rec["derivative"] = _outcome(pw.derivative, h, y0)
+            yield rec
 
 
 def _sign_records(pw):
