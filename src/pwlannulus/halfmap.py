@@ -21,13 +21,14 @@ refined by safeguarded Newton steps.
 
 Everything in that identity except y0 is a per-system constant, fixed when
 a HalfSystem is built (see HalfSystem): W, its discriminant and roots, q,
-and the integral's formula branch with that branch's constants (W's
+the integral's formula branch with that branch's constants (W's
 coefficients, 2D, and aT/(2D) combined with sqrt|disc| as the branch uses
-them, or a*T and T^2 when W is linear, or eps*a^2 and 2a^2 when T = 0).
-A solve therefore forms only the endpoint terms per residual, and each
-Newton step gets the residual and its slope from one call.  The domain
-[lam, mu) needs a solve that may fail, so it is solved on first use and then
-kept as well.
+them, or a*T and T^2 when W is linear, or eps*a^2 and 2a^2 when T = 0), and
+the rungs of the lower bracket.  A solve fixes its y0 terms once as well
+(W(y0), 2D*y0 - aT, see _residual), so each Newton step makes one residual
+call, which forms W(v) once for both the integral and the slope v/W(v).
+The domain [lam, mu) needs a solve that may fail, so it is solved on first
+use and then kept as well.
 
 Exact zero tests (a == 0, T == 0, D == 0, 4D == T^2) select degenerate
 formula branches on purpose: these are structural cases the caller sets
@@ -41,6 +42,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ConditioningWarning, ConvergenceError, DomainError
 
@@ -63,8 +65,9 @@ class HalfSystem:
     """One zone's reduced triple plus the travel direction through its flow.
 
     Construction keeps the forward triple, W, W.disc, W.roots(), q (None
-    when the half-map does not exist) and _integral's formula branch with its
-    constants (see _kernel) on the instance.
+    when the half-map does not exist), _integral's formula branch with its
+    constants (see _kernel) and the lower bracket's rungs (see _rungs) on
+    the instance.
     """
 
     a: float
@@ -80,10 +83,11 @@ class HalfSystem:
         w = WPolynomial(c2=D, c1=-a * T, c0=a * a)
         if self.orientation is Orientation.BACKWARD:
             a, T = -a, -T
-        disc = w.disc
+        disc, roots = w.disc, tuple(w.roots())
         # written past the frozen __setattr__, as functools.cached_property does
-        self.__dict__.update(_triple=(a, T, D), _w=w, _disc=disc, _roots=tuple(w.roots()),
-                             _q=_q(a, T, D), _kernel=_kernel(a, T, D, w, disc))
+        self.__dict__.update(_triple=(a, T, D), _w=w, _disc=disc, _roots=roots,
+                             _q=_q(a, T, D), _kernel=_kernel(a, T, D, w, disc),
+                             _rungs=_rungs(w, roots))
 
     def forward_triple(self) -> tuple[float, float, float]:
         """The equivalent forward triple; backward maps dualize (a,T) -> (-a,-T)."""
@@ -152,24 +156,45 @@ def _q(a: float, T: float, D: float) -> float | None:
 def _kernel(a: float, T: float, D: float, w: WPolynomial, disc: float) -> tuple:
     """_integral's formula branch for a forward triple and that branch's constants.
 
-    (branch, c2, c1, c0, 2D, k): W's coefficients, 2D, and k, the branch's
-    own constants.  Each constant is a subexpression that _integral's formula
-    groups on its own, so forming it once moves no result by a bit.
+    (branch, fd, c2, c1, c0, 2D, k): the branch's name and its residual
+    function (see _residual), W's coefficients, 2D, and k, the branch's own
+    constants.  Each constant is a subexpression that the formula groups on
+    its own, so forming it once moves no result by a bit.
     """
     c2, c1, c0 = w.c2, w.c1, w.c0
     two_d = 2.0 * D
     if T == 0.0:
-        return "even", c2, c1, c0, two_d, (abs(D), sys.float_info.epsilon * a * a, 2.0 * a * a)
+        return ("even", _fd_even, c2, c1, c0, two_d,
+                (abs(D), sys.float_info.epsilon * a * a, 2.0 * a * a))
     if D == 0.0:
-        return "linear", c2, c1, c0, two_d, (a, T, a * T, T * T)
+        return "linear", _fd_linear, c2, c1, c0, two_d, (a, T, a * T, T * T)
     coeff = -c1 / two_d                     # aT / (2D)
     if disc < 0.0:
         s = math.sqrt(-disc)
-        return "complex", c2, c1, c0, two_d, (s, s * s, coeff * (2.0 / s))
+        return "complex", _fd_complex, c2, c1, c0, two_d, (s, s * s, coeff * (2.0 / s))
     if disc == 0.0:
-        return "double", c2, c1, c0, two_d, 2.0 * coeff
+        return "double", _fd_double, c2, c1, c0, two_d, 2.0 * coeff
     s = math.sqrt(disc)
-    return "real", c2, c1, c0, two_d, (s, 2.0 * s, coeff)
+    return "real", _fd_real, c2, c1, c0, two_d, (s, 2.0 * s, coeff)
+
+
+def _rungs(w: WPolynomial, roots: tuple) -> tuple | None:
+    """The lower bracket's rungs above W's largest negative root; None when none.
+
+    The barrier is offset by a relative 1e-6, 1e-9, BARRIER_SHRINK and 1e-15;
+    the rungs stop before the first offset where W no longer reads positive.
+    """
+    negs = [r for r in roots if r < 0.0]
+    if not negs:
+        return None
+    barrier = max(negs)
+    rungs = []
+    for shrink in (1e-6, 1e-9, BARRIER_SHRINK, 1e-15):
+        lo = barrier * (1.0 - shrink)
+        if not w(lo) > 0.0:
+            break
+        rungs.append(lo)
+    return tuple(rungs)
 
 
 @dataclass(frozen=True)
@@ -210,48 +235,81 @@ def _check_positive_on(h: HalfSystem, y1: float, y0: float) -> None:
 def _integral(h: HalfSystem, y1: float, y0: float) -> float:
     """integral_{y1}^{y0} -y/W(y) dy where W > 0 on [y1, y0] and a != 0.
 
+    The branch's residual function (see _residual) with q = 0, called as is:
+    a lambda solve calls this once per step, with a new y0 each time.
+    """
+    if y1 == y0:
+        return 0.0
+    _, fd, c2, c1, c0, two_d, k = h._kernel
+    return fd(c2, c1, c0, two_d, k, 0.0, y0, (c2 * y0 + c1) * y0 + c0, two_d * y0 + c1, y1)[0]
+
+
+def _residual(h: HalfSystem, y0: float):
+    """fd(v) -> (integral_v^{y0} -y/W(y) dy - q, W(v)) for v != y0.
+
+    The residual of one solve at y0 and, through W(v), its slope v/W(v):
+    the branch's function below with the HalfSystem's constants (see _kernel)
+    and y0's terms W(y0) and 2D*y0 - aT bound, so a call forms only v's
+    terms, W(v) once among them.
+
     Antiderivative differences are paired analytically: the arctangent part
     goes through the angle-difference identity and the logarithmic part
     through a log1p cross-ratio, because the naive difference of two
     antiderivative values cancels catastrophically for nearly degenerate
     discriminants.  Branch selection uses W's discriminant, the exact
     expression its roots come from, so the pole structure seen here always
-    matches the roots the callers screen for.  The branch and its constants
-    come from the HalfSystem (see _kernel); only the endpoint terms are
-    formed here.
+    matches the roots the callers screen for.  fd divides by W(v) only where
+    the formula does, so it raises exactly where the integral does.
     """
-    if y1 == y0:
-        return 0.0
-    branch, c2, c1, c0, two_d, k = h._kernel
-    if branch == "even":
-        # W = a^2 + D*y^2 is the constant a^2 where D*y^2 is below its
-        # rounding: D = 0, or a determinant so small the logarithm reads 0.
-        abs_d, eps_a2, two_a2 = k
-        if abs_d * max(y0 * y0, y1 * y1) <= eps_a2:
-            return (y1 - y0) * (y1 + y0) / two_a2
-    elif branch == "linear":  # D = 0
-        a, T, a_t, t_t = k
-        return (y0 - y1) / a_t + math.log((a - T * y0) / (a - T * y1)) / t_t
-    lead = -math.log(((c2 * y0 + c1) * y0 + c0) / ((c2 * y1 + c1) * y1 + c0)) / two_d
-    if branch == "even":
-        return lead
-    u0 = two_d * y0 + c1                    # 2Dy - aT at each endpoint
-    u1 = two_d * y1 + c1
-    if branch == "complex":
-        s, s_s, arc = k
-        return lead - arc * math.atan2(s * (u0 - u1), s_s + u0 * u1)
-    if branch == "double":
-        if u0 * u1 == 0.0:
-            raise DomainError("integration endpoint sits on a W root")
-        return lead + k * (u1 - u0) / (u0 * u1)
+    _, fd, c2, c1, c0, two_d, k = h._kernel
+    return partial(fd, c2, c1, c0, two_d, k, h._q, y0, (c2 * y0 + c1) * y0 + c0,
+                   two_d * y0 + c1)
+
+
+def _fd_linear(c2, c1, c0, two_d, k, q, y0, w0, u0, v):  # D = 0
+    a, T, a_t, t_t = k
+    return ((y0 - v) / a_t + math.log((a - T * y0) / (a - T * v)) / t_t - q,
+            (c2 * v + c1) * v + c0)
+
+
+def _fd_even(c2, c1, c0, two_d, k, q, y0, w0, u0, v):  # T = 0
+    abs_d, eps_a2, two_a2 = k
+    wv = (c2 * v + c1) * v + c0
+    # W = a^2 + D*y^2 is the constant a^2 where D*y^2 is below its
+    # rounding: D = 0, or a determinant so small the logarithm reads 0.
+    if abs_d * max(y0 * y0, v * v) <= eps_a2:
+        return (v - y0) * (v + y0) / two_a2 - q, wv
+    return -math.log(w0 / wv) / two_d - q, wv
+
+
+def _fd_complex(c2, c1, c0, two_d, k, q, y0, w0, u0, v):
+    s, s_s, arc = k
+    wv = (c2 * v + c1) * v + c0
+    u1 = two_d * v + c1                     # 2Dy - aT at v
+    return -math.log(w0 / wv) / two_d - arc * math.atan2(s * (u0 - u1), s_s + u0 * u1) - q, wv
+
+
+def _fd_double(c2, c1, c0, two_d, k, q, y0, w0, u0, v):
+    wv = (c2 * v + c1) * v + c0
+    lead = -math.log(w0 / wv) / two_d
+    u1 = two_d * v + c1
+    if u0 * u1 == 0.0:
+        raise DomainError("integration endpoint sits on a W root")
+    return lead + k * (u1 - u0) / (u0 * u1) - q, wv
+
+
+def _fd_real(c2, c1, c0, two_d, k, q, y0, w0, u0, v):
     s, two_s, coeff = k
+    wv = (c2 * v + c1) * v + c0
+    lead = -math.log(w0 / wv) / two_d
+    u1 = two_d * v + c1
     den = (u0 + s) * (u1 - s)
     if den == 0.0:
         raise DomainError("integration endpoint sits on a W root")
     ratio = two_s * (u0 - u1) / den
     if ratio <= -1.0:  # the cross-ratio rounded onto the root
         raise DomainError("integration endpoint sits on a W root")
-    return lead - coeff * math.log1p(ratio) / s
+    return lead - coeff * math.log1p(ratio) / s - q, wv
 
 
 def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
@@ -277,8 +335,9 @@ def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
 def _bracketed_newton(fd, lo, hi, flo, fhi):
     """Root of f on [lo, hi], lo < hi, with a sign change; safeguarded Newton.
 
-    fd(v) returns (f(v), f'(v)) from one call.  Converges on the residual
-    first, then keeps polishing until the Newton step stalls at the
+    fd(v) returns (f(v), w) from one call, with f'(v) = v/w: w is W(v) for the
+    integral's lower endpoint and -W(v) for its upper one.  Converges on the
+    residual first, then keeps polishing until the Newton step stalls at the
     floating-point floor; a step that leaves the bracket is a bisection.
     """
     if flo == 0.0:
@@ -288,32 +347,38 @@ def _bracketed_newton(fd, lo, hi, flo, fhi):
     if (flo > 0.0) == (fhi > 0.0):
         raise ConvergenceError("root bracket does not straddle a sign change")
     pos_at_lo = flo > 0.0
+    tol, step_tol, inf = RESIDUAL_TOL, STEP_TOL, math.inf
     v = 0.5 * (lo + hi)
     for _ in range(MAX_ITER):
-        fv, d = fd(v)
+        fv, w = fd(v)
+        d = v / w
         if fv == 0.0:
             return v
         if (fv > 0.0) == pos_at_lo:
             lo = v
         else:
             hi = v
-        floor = STEP_TOL * max(1.0, abs(v))
+        # STEP_TOL * max(1, |v|)
+        floor = step_tol * v if v > 1.0 else -step_tol * v if v < -1.0 else step_tol
         if hi - lo <= floor:
             return v
-        step = fv / d if d != 0.0 else math.inf
+        step = fv / d if d != 0.0 else inf
         cand = v - step
         if not lo < cand < hi:  # also a nan or infinite step
             cand = 0.5 * (lo + hi)
-        if abs(fv) <= RESIDUAL_TOL and abs(cand - v) <= floor:
+        if -tol <= fv <= tol and -floor <= cand - v <= floor:
             return cand
         v = cand
     raise ConvergenceError("half-map root-finding failed to converge")
 
 
-def _doubling_ladder(f, x: float, sign: float, message: str) -> tuple[float, float]:
-    """(x*2**k, f(x*2**k)) at the first k < MAX_ITER where sign*f > 0, else raise."""
+def _doubling_ladder(fd, x: float, sign: float, message: str) -> tuple[float, float]:
+    """(x*2**k, f(x*2**k)) at the first k < MAX_ITER where sign*f > 0, else raise.
+
+    fd(x) returns (f(x), ...) as for _bracketed_newton.
+    """
     for _ in range(MAX_ITER):
-        fx = f(x)
+        fx = fd(x)[0]
         if sign * fx > 0.0:
             return x, fx
         x *= 2.0
@@ -324,13 +389,10 @@ def _solve_lambda(h: HalfSystem) -> float:
     """Left endpoint lam > 0: integral from 0 to lam equals q (< 0 here)."""
     q, w = h._q, h._w
 
-    def g(lam):
-        return _integral(h, 0.0, lam) - q
-
     def gd(lam):
-        return _integral(h, 0.0, lam) - q, -lam / w(lam)
+        return _integral(h, 0.0, lam) - q, -w(lam)   # slope -lam/W(lam)
 
-    hi, ghi = _doubling_ladder(g, 1.0, -1.0, "no upper bracket for the domain endpoint")
+    hi, ghi = _doubling_ladder(gd, 1.0, -1.0, "no upper bracket for the domain endpoint")
     return _bracketed_newton(gd, 0.0, hi, -q, ghi)
 
 
@@ -344,7 +406,8 @@ def domain(h: HalfSystem) -> HalfMapDomain:
     cannot carry W: a^2 (a != 0) not a normal double, where W's roots are
     off; T^2 not one with D = 0 (T != 0), where the linear-W formula divides
     by 0 or inf; both terms of W's discriminant rounding to 0 (a, D != 0),
-    where its sign, and so mu, is lost.  The interval is kept on the
+    where its sign, and so mu, is lost, except with T = 0 < D, where W > 0
+    has no root and mu is inf.  The interval is kept on the
     HalfSystem instance once solved; a solve that raises keeps nothing.
     """
     dom = h.__dict__.get("_domain")
@@ -356,7 +419,8 @@ def domain(h: HalfSystem) -> HalfMapDomain:
             raise DomainError("a^2 leaves the normal double range")
         if D == 0.0 and T != 0.0 and not sys.float_info.min <= T * T <= sys.float_info.max:
             raise DomainError("T^2 leaves the normal double range")
-        if a != 0.0 and D != 0.0 and h._disc == 0.0 and 4.0 * D * h._w.c0 == 0.0:
+        if (a != 0.0 and D != 0.0 and h._disc == 0.0 and 4.0 * D * h._w.c0 == 0.0
+                and not (T == 0.0 and D > 0.0)):  # W = a^2 + D*y^2 > 0 has no root
             raise DomainError("W's discriminant underflows to 0 and loses its sign")
         pos = [r for r in h._roots if r > 0.0]
         # an existing map with a < 0 has 4D - T^2 > 0
@@ -365,26 +429,23 @@ def domain(h: HalfSystem) -> HalfMapDomain:
     return dom
 
 
-def _lower_bracket(h: HalfSystem, resid, y0: float):
+def _lower_bracket(h: HalfSystem, fd, y0: float):
     """Bracket [lo, 0] for the map value; lo sits above W's negative root.
 
-    The ladder starts wide because W is only trustworthy a relative sqrt(eps)
-    away from a double root; the residual diverges to +inf at the barrier, so
-    the first offset with a positive residual brackets the value.  When even
-    the deepest computable rung leaves the residual negative, the map value
-    is within that rung's offset of the root itself, which is the best double
-    precision answer; it is returned directly (flo None).
+    The ladder (h._rungs) starts wide because W is only trustworthy a
+    relative sqrt(eps) away from a double root; the residual diverges to
+    +inf at the barrier, so the first rung with a positive residual brackets
+    the value.  When even the deepest computable rung leaves the residual
+    negative, the map value is within that rung's offset of the root itself,
+    which is the best double precision answer; it is returned directly (flo
+    None).
     """
-    negs = [r for r in h._roots if r < 0.0]
-    if negs:
-        barrier = max(negs)
+    rungs = h._rungs
+    if rungs is not None:
         pinned = None
-        for shrink in (1e-6, 1e-9, BARRIER_SHRINK, 1e-15):
-            lo = barrier * (1.0 - shrink)
-            if not h._w(lo) > 0.0:
-                break
+        for lo in rungs:
             try:
-                flo = resid(lo)
+                flo = fd(lo)[0]
             except DomainError:
                 break  # endpoint indistinguishable from the root in doubles
             if not math.isfinite(flo):
@@ -395,7 +456,7 @@ def _lower_bracket(h: HalfSystem, resid, y0: float):
         if pinned is not None:
             return pinned, None
         raise ConvergenceError("map value is pinned against the W-root barrier")
-    return _doubling_ladder(resid, -max(1.0, abs(y0)), 1.0,
+    return _doubling_ladder(fd, -max(1.0, abs(y0)), 1.0,
                             "no lower bracket for the half-map value")
 
 
@@ -421,25 +482,18 @@ def evaluate(h: HalfSystem, y0: float) -> float:
         return y1
     if T == 0.0:  # W is even and q = 0; 0.0 - y0 is 0.0, not -0.0, at y0 = 0
         return 0.0 - y0
-    q, w = h._q, h._w
-
-    def resid(v):
-        return _integral(h, v, y0) - q
-
-    def resid_d(v):
-        return _integral(h, v, y0) - q, v / w(v)
-
-    f0 = resid(0.0)
+    fd = _residual(h, y0)
+    f0 = fd(0.0)[0] if y0 != 0.0 else _integral(h, 0.0, y0) - h._q   # fd needs v != y0
     if f0 >= 0.0:
         # No root below zero.  At y0 == lam the residual is solver noise and
         # the map value is exactly the endpoint value 0.
         if f0 <= 100.0 * RESIDUAL_TOL:
             return 0.0
         raise DomainError("y0 lies below the half-map domain")
-    lo, flo = _lower_bracket(h, resid, y0)
+    lo, flo = _lower_bracket(h, fd, y0)
     if flo is None:
         return lo
-    return _bracketed_newton(resid_d, lo, 0.0, flo, f0)
+    return _bracketed_newton(fd, lo, 0.0, flo, f0)
 
 
 def _require_interior(h: HalfSystem, y0: float) -> None:

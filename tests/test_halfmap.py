@@ -396,33 +396,37 @@ def _integral_reference(h, y1, y0):
     return lead - coeff * math.log1p(ratio) / s
 
 
-def _integral_outcome(fn, h, y1, y0):
+def _integral_outcome(fn, *args):
     try:
-        return repr(fn(h, y1, y0))
+        return repr(fn(*args))
     except (ArithmeticError, ValueError, PwlError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
+BRANCHES = ("even", "linear", "complex", "double", "real")
+
+
+def _branch_triple(rng, branch):
+    """(a, T, D) whose kernel takes the named formula branch."""
+    a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
+    T = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0)
+    if branch == "even":
+        return a, 0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-40.0, 1.0)
+    if branch == "linear":
+        return a, T, 0.0
+    if branch == "complex":
+        return a, T, T * T / 4.0 * (1.0 + 10.0 ** rng.uniform(-12.0, 2.0))
+    if branch == "double":
+        return a, T, T * T / 4.0
+    return a, T, rng.choice([-1.0, 1.0]) * T * T / 4.0 * rng.uniform(1e-6, 0.999)
+
+
 def test_integral_repeats_the_per_call_reference_bitwise():
     rng = random.Random(9)
-
-    def triple(branch):
-        a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
-        T = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0)
-        if branch == "even":
-            return a, 0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-40.0, 1.0)
-        if branch == "linear":
-            return a, T, 0.0
-        if branch == "complex":
-            return a, T, T * T / 4.0 * (1.0 + 10.0 ** rng.uniform(-12.0, 2.0))
-        if branch == "double":
-            return a, T, T * T / 4.0
-        return a, T, rng.choice([-1.0, 1.0]) * T * T / 4.0 * rng.uniform(1e-6, 0.999)
-
     seen = set()
-    for branch in ("even", "linear", "complex", "double", "real"):
+    for branch in BRANCHES:
         for _ in range(300):
-            a, T, D = triple(branch)
+            a, T, D = _branch_triple(rng, branch)
             h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
             seen.add(h._kernel[0])
             ys = [rng.uniform(-20.0, 20.0) for _ in range(4)] + list(h._roots) + [0.0]
@@ -430,7 +434,122 @@ def test_integral_repeats_the_per_call_reference_bitwise():
                 for y0 in ys:
                     assert (_integral_outcome(halfmap._integral, h, y1, y0)
                             == _integral_outcome(_integral_reference, h, y1, y0))
-    assert seen == {"even", "linear", "complex", "double", "real"}
+    assert seen == set(BRANCHES)
+
+
+def test_residual_closure_repeats_the_integral_and_slope_bitwise():
+    # fd(v) = (I(v, y0) - q, W(v)) with y0's terms bound once; its slope is v/W(v)
+    rng = random.Random(10)
+    seen = set()
+    for branch in BRANCHES:
+        checked = 0
+        while checked < 150:
+            a, T, D = _branch_triple(rng, branch)
+            h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
+            if not exists(h):
+                continue
+            q, w = q_value(h), wpoly(h)
+            seen.add(h._kernel[0])
+            ys = [rng.uniform(-20.0, 20.0) for _ in range(4)] + list(h._roots) + [0.0]
+            for y0 in ys:
+                fd = halfmap._residual(h, y0)
+                for v in ys:
+                    if v == y0:
+                        continue
+
+                    def fused():
+                        f, wv = fd(v)
+                        return f, v / wv
+
+                    def reference():
+                        return halfmap._integral(h, v, y0) - q, v / w(v)
+
+                    assert _integral_outcome(fused) == _integral_outcome(reference)
+            checked += 1
+    assert seen == set(BRANCHES)
+
+
+def _count_residual_calls(monkeypatch):
+    """Count _integral calls and calls of the closures _residual returns."""
+    calls = [0]
+    integral, residual = halfmap._integral, halfmap._residual
+
+    def counted(h, y1, y0):
+        calls[0] += 1
+        return integral(h, y1, y0)
+
+    def counted_residual(h, y0):
+        fd = residual(h, y0)
+
+        def counted_fd(v):
+            calls[0] += 1
+            return fd(v)
+        return counted_fd
+
+    monkeypatch.setattr(halfmap, "_integral", counted)
+    monkeypatch.setattr(halfmap, "_residual", counted_residual)
+    return calls
+
+
+@pytest.mark.parametrize("h, y0, calls, y1", [
+    # a = 0 and T = 0: closed forms, no solve
+    pytest.param(HalfSystem(0.0, 1.0, 1.0), 1.0, 0, "-6.133707406236227", id="a_zero"),
+    pytest.param(HalfSystem(-1.0, 0.0, 1.0), 2.0, 0, "-2.0", id="t_zero"),
+    # y0 = 0: the integral over [0, 0] is read, then the doubling ladder
+    pytest.param(HalfSystem(1.0, -1.0, 1.0, orientation=BWD), 0.0, 12, "-12.18574419033854",
+                 id="y0_zero"),
+    # y0 = lam: the residual at 0 is solver noise and the value is 0
+    pytest.param(HalfSystem(-1.0, -1.0, 1.0), "lam", 1, "0.0", id="y0_lam"),
+    pytest.param(HalfSystem(-1.0, -1.0, 1.0), 20.0, 9, "-1.8841577770954199", id="above_lam"),
+    # a rung above W's negative root brackets the value (real, double roots)
+    pytest.param(HalfSystem(1.0, 1.0, -1.0), 0.5, 6, "-0.7981592453351537", id="rung_real"),
+    pytest.param(HalfSystem(1.0, -2.0, 1.0), 1.5, 6, "-0.5046533177577068", id="rung_double"),
+    # every computable rung leaves the residual negative: the value is pinned
+    pytest.param(HalfSystem(0.43363031912407335, -2.3540228188847414, 0.07509130706403618),
+                 8.0, 5, "-0.18677442723103793", id="pinned_rung"),
+    # no negative root: the doubling ladder brackets the value (complex, linear)
+    pytest.param(HalfSystem(-1.0, 1.0, 1.0), 1.0, 12, "-15.340487060457239", id="ladder_complex"),
+    pytest.param(HalfSystem(1.0, 1.0, 0.0), 0.5, 7, "-0.7564312086261695", id="ladder_linear"),
+])
+def test_evaluate_makes_the_pinned_number_of_residual_evaluations(monkeypatch, h, y0, calls, y1):
+    # each branch of evaluate takes the same steps as when every residual
+    # was a separate _integral call; a count that moves means moved iterates
+    if y0 == "lam":
+        y0 = domain(h).lam
+    domain(h)  # the lambda solve is not counted here
+    counted = _count_residual_calls(monkeypatch)
+    assert repr(evaluate(h, y0)) == y1
+    assert counted[0] == calls
+
+
+def test_evaluate_residual_evaluations_on_draws(monkeypatch):
+    # the per-branch counts above rarely see a moved stopping test; a sum
+    # over many solves does
+    rng = random.Random(12)
+    points = []
+    for _ in range(400):
+        h = draw_half_system(rng)
+        points.append((h, domain_point(rng, h)))
+    counted = _count_residual_calls(monkeypatch)
+    for h, y0 in points:
+        evaluate(h, y0)
+    assert counted[0] == 3552
+
+
+def test_zero_trace_positive_determinant_is_spared_the_discriminant_guard():
+    # T = 0 < D: W = a^2 + D*y^2 > 0 has no root whatever its discriminant
+    # rounds to, so mu = inf and the map is the reflection
+    for h in (HalfSystem(1e-150, 0.0, 1e-30), HalfSystem(-1e-150, 0.0, 1e-30),
+              HalfSystem(-1e-150, 0.0, 1e-30, orientation=BWD)):
+        assert domain(h) == halfmap.HalfMapDomain(lam=0.0, mu=math.inf)
+        assert evaluate(h, 2.5) == -2.5 == oracle_halfmap(h, 2.5)
+        assert derivative(h, 2.5) == -1.0
+    # D < 0 puts mu at |a|/sqrt(-D), about 1e-135, which the lost sign hides;
+    # with T != 0 the sign is lost as well
+    for h in (HalfSystem(1e-150, 0.0, -1e-30), HalfSystem(1e-150, 1e-200, 1e-30),
+              HalfSystem(1e-150, 1e-200, -1e-30)):
+        with pytest.raises(DomainError, match="discriminant underflows"):
+            domain(h)
 
 
 def test_w_positive_between_images(rng):

@@ -11,8 +11,9 @@ holds this file) and writes one JSON object per line, in a fixed order:
   on a fixed list of systems;
 - kind "map": repr of domain, evaluate and derivative at seeded half-system
   points, y0 = lam included, or the error each call raised, and how many
-  halfmap._integral calls the first domain call and evaluate made (counted
-  by wrapping the module attribute from outside, so any tree can be
+  residual evaluations the first domain call and evaluate made: calls of
+  halfmap._integral and of the closures halfmap._residual returns (counted
+  by wrapping the module attributes from outside, so any tree can be
   recorded);
 - kind "sign": the results of sign_delta_prime_at_zero and
   sign_delta_second_at_critical at zeros and at points that break a
@@ -183,18 +184,34 @@ MAP_CATEGORIES = ("a_neg_complex", "a_neg_lam", "a_zero", "a_pos_complex", "a_po
 
 
 def _map_records(pw):
+    """The map records, counting residual evaluations on any tree: calls of
+    halfmap._integral, and of the closures halfmap._residual returns where the
+    tree has it."""
+    hm = pw.halfmap
     calls = [0]
-    integral = pw.halfmap._integral
+    integral, residual = hm._integral, getattr(hm, "_residual", None)
 
     def counted(h, y1, y0):
         calls[0] += 1
         return integral(h, y1, y0)
 
-    pw.halfmap._integral = counted
+    def counted_residual(h, y0):
+        fd = residual(h, y0)
+
+        def counted_fd(v):
+            calls[0] += 1
+            return fd(v)
+        return counted_fd
+
+    hm._integral = counted
+    if residual is not None:
+        hm._residual = counted_residual
     try:
         yield from _map_points(pw, calls)
     finally:
-        pw.halfmap._integral = integral
+        hm._integral = integral
+        if residual is not None:
+            hm._residual = residual
 
 
 def _map_points(pw, calls):
