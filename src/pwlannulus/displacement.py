@@ -30,7 +30,7 @@ from .errors import ContractError, DomainError, EmptyDomainError, PreconditionEr
 from .halfmap import HalfSystem, Orientation
 
 ANNULUS_TOL = 1e-9       # per-point |delta| bound for an annulus candidate
-REFINE_WIDTH = 1e-10     # bisection width for isolated zeros
+REFINE_WIDTH = 1e-10     # Illinois bracket width for isolated zeros
 DELTA_ZERO_TOL = 1e-6    # hypothesis tolerance: delta(y0) == 0
 DELTA_PRIME_TOL = 1e-6   # hypothesis tolerance: delta'(y0) == 0
 DEFAULT_GRID = 64
@@ -237,9 +237,15 @@ def orbits_from_scan(ctx: DisplacementContext, record: ScanRecord, *,
 
     Returns one ANNULUS_CANDIDATE when |delta| < annulus_tol * max(1, |y0|,
     |yL|) at every row, else one ISOLATED entry per bracketed sign change,
-    refined by bisection.  When lam > 0 the first row y0 = lam is left out:
-    a half-map value is 0 there, so it is a fold orbit, not a crossing orbit,
-    and its delta is only the noise of the two separate endpoint solves.
+    refined by Illinois regula falsi (Dowell and Jarratt, BIT 1971) from the
+    two rows' own delta values: the secant point of the bracket, or its
+    midpoint when the secant point is not strictly inside, kept half a width
+    inside the bracket, and the kept endpoint's delta halved when the same
+    endpoint is kept twice in a row.  The bracket stops at the width
+    REFINE_WIDTH * max(1, |a|) and its midpoint is the zero.  When lam > 0
+    the first row y0 = lam is left out: a half-map value is 0 there, so it
+    is a fold orbit, not a crossing orbit, and its delta is only the noise
+    of the two separate endpoint solves.
     """
     rows = record.rows[1:] if ctx.lam > 0.0 else record.rows
     if all(abs(r.delta) < annulus_tol * max(1.0, abs(r.y0), abs(r.yL)) for r in rows):
@@ -254,16 +260,28 @@ def orbits_from_scan(ctx: DisplacementContext, record: ScanRecord, *,
             continue
         if da * db < 0.0:
             a, b = ya, yb
-            while b - a > REFINE_WIDTH * max(1.0, abs(a)):
-                m = 0.5 * (a + b)
+            kept = 0   # +1 when b was kept at the last step, -1 when a was
+            while b - a > (width := REFINE_WIDTH * max(1.0, abs(a))):
+                m = a - da * (b - a) / (db - da)
+                if not a < m < b:
+                    m = 0.5 * (a + b)
+                # half a width inside: regula falsi closes in on a zero from
+                # one side, and a point half a width past it ends the loop
+                m = min(max(m, a + 0.5 * width), b - 0.5 * width)
                 dm = delta(ctx, m)
                 if dm == 0.0:
                     a = b = m
                     break
                 if (dm > 0.0) == (da > 0.0):
-                    a = m
+                    a, da = m, dm
+                    if kept > 0:  # b kept twice: halve its weight
+                        db *= 0.5
+                    kept = 1
                 else:
-                    b = m
+                    b, db = m, dm
+                    if kept < 0:
+                        da *= 0.5
+                    kept = -1
             orbits.append(CrossingOrbit(y0=0.5 * (a + b), kind=OrbitKind.ISOLATED))
     if rows and rows[-1].delta == 0.0:
         orbits.append(CrossingOrbit(y0=rows[-1].y0, kind=OrbitKind.ISOLATED))

@@ -17,7 +17,8 @@ where the principal value is only needed for a = 0, and q is 0 for a > 0,
 pi*T/(D*sqrt(4D - T^2)) for a = 0 and twice that for a < 0.  The integrand is
 an explicit rational function, so the integral is evaluated by closed-form
 antiderivatives; root-finding on the lower endpoint is a bracketed bisection
-refined by safeguarded Newton steps.
+refined by safeguarded Newton steps, which stops once the residual is within
+RESIDUAL_TOL and the Newton step no longer moves the iterate's last bit.
 
 Everything in that identity except y0 is a per-system constant, fixed when
 a HalfSystem is built (see HalfSystem): W, its discriminant and roots, q,
@@ -64,7 +65,7 @@ class Orientation(enum.Enum):
 class HalfSystem:
     """One zone's reduced triple plus the travel direction through its flow.
 
-    Construction keeps the forward triple, W, W.disc, W.roots(), q (None
+    Construction keeps the forward triple, W, W.disc, W's real roots, q (None
     when the half-map does not exist), _integral's formula branch with its
     constants (see _kernel) and the lower bracket's rungs (see _rungs) on
     the instance.
@@ -83,7 +84,10 @@ class HalfSystem:
         w = WPolynomial(c2=D, c1=-a * T, c0=a * a)
         if self.orientation is Orientation.BACKWARD:
             a, T = -a, -T
-        disc, roots = w.disc, tuple(w.roots())
+        disc = w.disc
+        # T = 0 < D, a != 0: W = a^2 + D*y^2 > 0 has no root, whatever its
+        # discriminant underflows to
+        roots = () if T == 0.0 < D and a != 0.0 else tuple(w.roots())
         # written past the frozen __setattr__, as functools.cached_property does
         self.__dict__.update(_triple=(a, T, D), _w=w, _disc=disc, _roots=roots,
                              _q=_q(a, T, D), _kernel=_kernel(a, T, D, w, disc),
@@ -338,7 +342,11 @@ def _bracketed_newton(fd, lo, hi, flo, fhi):
     fd(v) returns (f(v), w) from one call, with f'(v) = v/w: w is W(v) for the
     integral's lower endpoint and -W(v) for its upper one.  Converges on the
     residual first, then keeps polishing until the Newton step stalls at the
-    floating-point floor; a step that leaves the bracket is a bisection.
+    floating-point floor; a step that leaves the bracket is a bisection.  A
+    step that rounds back to v itself (v - step == v) with the residual
+    within RESIDUAL_TOL returns v: no further evaluation can move it, and
+    the bracket test would otherwise read v == hi (or lo) as leaving the
+    bracket and bisect from its far end.
     """
     if flo == 0.0:
         return lo
@@ -364,6 +372,8 @@ def _bracketed_newton(fd, lo, hi, flo, fhi):
             return v
         step = fv / d if d != 0.0 else inf
         cand = v - step
+        if cand == v and -tol <= fv <= tol:  # the step is below v's last bit
+            return v
         if not lo < cand < hi:  # also a nan or infinite step
             cand = 0.5 * (lo + hi)
         if -tol <= fv <= tol and -floor <= cand - v <= floor:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from pwlannulus import (CanonicalSystem, ContractError, DomainError,
                         EmptyDomainError, HalfSystem, Orientation, OrbitKind,
-                        PreconditionError, annulus_family, delta, delta_prime,
+                        PreconditionError, PwlError, annulus_family, delta, delta_prime,
                         evaluate, f_value, find_crossing_orbits, halfmap,
                         make_context, sign_delta_prime_at_zero,
                         sign_delta_second_at_critical, to_canonical, verify_periodic)
-from pwlannulus.displacement import orbits_from_scan, scan, scan_grid, scan_window
+from pwlannulus import displacement
+from pwlannulus.displacement import (REFINE_WIDTH, CrossingOrbit, orbits_from_scan, scan,
+                                      scan_grid, scan_window)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -197,6 +199,83 @@ def test_find_crossing_orbits_reads_the_scan(left, right):
     assert find_crossing_orbits(ctx, 40) == orbits_from_scan(ctx, scan(ctx, 40))
     assert (find_crossing_orbits(ctx, 40, span=3.0, annulus_tol=1e-12)
             == orbits_from_scan(ctx, scan(ctx, 40, span=3.0), annulus_tol=1e-12))
+
+
+def _bisect_reference(ctx, record, annulus_tol=displacement.ANNULUS_TOL):
+    """orbits_from_scan as it was with bisection refining each bracketed zero."""
+    rows = record.rows[1:] if ctx.lam > 0.0 else record.rows
+    if all(abs(r.delta) < annulus_tol * max(1.0, abs(r.y0), abs(r.yL)) for r in rows):
+        lo, hi = record.lo, record.hi
+        return [CrossingOrbit(y0=lo + 0.5 * (hi - lo), kind=OrbitKind.ANNULUS_CANDIDATE)]
+    orbits = []
+    for (ya, _, _, da), (yb, _, _, db) in zip(rows, rows[1:]):
+        if da == 0.0:
+            if ya != 0.0:
+                orbits.append(CrossingOrbit(y0=ya, kind=OrbitKind.ISOLATED))
+            continue
+        if da * db < 0.0:
+            a, b = ya, yb
+            while b - a > REFINE_WIDTH * max(1.0, abs(a)):
+                m = 0.5 * (a + b)
+                dm = delta(ctx, m)
+                if dm == 0.0:
+                    a = b = m
+                    break
+                if (dm > 0.0) == (da > 0.0):
+                    a = m
+                else:
+                    b = m
+            orbits.append(CrossingOrbit(y0=0.5 * (a + b), kind=OrbitKind.ISOLATED))
+    if rows and rows[-1].delta == 0.0:
+        orbits.append(CrossingOrbit(y0=rows[-1].y0, kind=OrbitKind.ISOLATED))
+    return orbits
+
+
+def _isolated_contexts(n):
+    """ISO_LEFT/ISO_RIGHT and n seeded systems with at least one isolated zero."""
+    contexts = [ctx_of(ISO_LEFT, ISO_RIGHT)]
+    rng = random.Random(11)
+    while len(contexts) <= n:
+        aL, aR = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        TL, TR = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        DL = TL * TL / 4.0 + rng.uniform(-0.5, 2.0)
+        DR = TR * TR / 4.0 + rng.uniform(-0.5, 2.0)
+        b = rng.choice([0.0, rng.uniform(-0.5, 0.5)])
+        try:
+            ctx = ctx_of(HalfSystem(aL, TL, DL), HalfSystem(aR, TR, DR, orientation=BWD), b)
+            record = scan(ctx, 64)
+        except PwlError:  # no common domain, or a half-map refused
+            continue
+        if any(o.kind is OrbitKind.ISOLATED for o in _bisect_reference(ctx, record)):
+            contexts.append(ctx)
+    return contexts
+
+
+def test_illinois_finds_the_zeros_bisection_finds_in_few_delta_calls(monkeypatch):
+    calls = []
+    counted = displacement.delta
+
+    def spy(ctx, y0):
+        calls.append(y0)
+        return counted(ctx, y0)
+
+    monkeypatch.setattr(displacement, "delta", spy)
+    zeros = 0
+    for ctx in _isolated_contexts(30):
+        record = scan(ctx, 64)
+        want = _bisect_reference(ctx, record)
+        calls.clear()
+        got = orbits_from_scan(ctx, record)
+        assert [o.kind for o in got] == [o.kind for o in want]
+        for g, w in zip(got, want):
+            assert abs(g.y0 - w.y0) <= REFINE_WIDTH * max(1.0, abs(w.y0))
+        # every call falls in one bracketing pair of rows; at most 8 per zero
+        rows = record.rows[1:] if ctx.lam > 0.0 else record.rows
+        for ra, rb in zip(rows, rows[1:]):
+            if ra.delta * rb.delta < 0.0:
+                zeros += 1
+                assert sum(ra.y0 < y < rb.y0 for y in calls) <= 8
+    assert zeros >= 31
 
 
 @pytest.mark.parametrize("family", [

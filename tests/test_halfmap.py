@@ -2,9 +2,11 @@
 
 import math
 import random
+import struct
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -533,7 +535,102 @@ def test_evaluate_residual_evaluations_on_draws(monkeypatch):
     counted = _count_residual_calls(monkeypatch)
     for h, y0 in points:
         evaluate(h, y0)
-    assert counted[0] == 3552
+    assert counted[0] == 3259
+
+
+def _ulps(x, y):
+    def ordered(v):
+        (n,) = struct.unpack("<q", struct.pack("<d", v))
+        return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
+    return abs(ordered(x) - ordered(y))
+
+
+def _mp_antiderivative(a, T, D):
+    """F with F(y0) - F(y1) = integral_{y1}^{y0} -y/W(y) dy, in mpmath.
+
+    Closed forms at the working precision, on the exact values of the
+    doubles a, T, D: -y/W = -W'/(2D*W) - aT/(2D*W) with W = D*y^2 - aT*y + a^2,
+    the second term by its arctangent, logarithm or double-root form, and
+    -y/W = -1/c1 + (c0/c1)/W when D = 0 and W = c1*y + c0 is linear.
+    """
+    a, T, D = mpmath.mpf(a), mpmath.mpf(T), mpmath.mpf(D)
+    c1, c0 = -a * T, a * a
+    disc = c1 * c1 - 4 * D * c0
+
+    def F(y):
+        if D == 0:
+            return -y / c1 + c0 / c1 ** 2 * mpmath.log(abs(c1 * y + c0))
+        u = 2 * D * y + c1
+        if disc < 0:
+            s = mpmath.sqrt(-disc)
+            g = 2 / s * mpmath.atan(u / s)
+        elif disc > 0:
+            s = mpmath.sqrt(disc)
+            g = mpmath.log(abs((u - s) / (u + s))) / s
+        else:
+            g = -2 / u
+        return -mpmath.log(abs((D * y + c1) * y + c0)) / (2 * D) + c1 / (2 * D) * g
+    return F
+
+
+def _mp_map_value(h, y0, guess):
+    """The map value at y0 to 40 digits: mpmath.findroot on the closed forms."""
+    with mpmath.workdps(40):
+        a, T, D = h.forward_triple()
+        F = _mp_antiderivative(a, T, D)
+        q = mpmath.mpf(0) if a > 0.0 else (2 * mpmath.pi * T / (mpmath.mpf(D) * mpmath.sqrt(
+            4 * mpmath.mpf(D) - mpmath.mpf(T) ** 2)))
+        f0 = F(mpmath.mpf(y0))
+        return mpmath.findroot(lambda y: f0 - F(y) - q, mpmath.mpf(guess))
+
+
+# Newton reached the residual tolerance on these, then its step rounded back
+# to the iterate; the bracket test read that as leaving the bracket and the
+# solve bisected on from the far end, 13 to 55 residual evaluations, and
+# returned a value up to 177 ulp off.  (a, T, D, orientation, y0)
+STALLED = [
+    (-0.5763570471745119, -0.012327867934763148, -1.7367493846776638, BWD, 0.3051358522248794),
+    (0.34862168530949705, -1.9266908060946815, 0.9280343655724433, FWD, 3.4129686755592266),
+    (-0.39338319471400085, -0.1757534873636395, -1.7116515717927892, BWD, 0.2545049084515822),
+    (-0.39459941657845315, 1.9553631340092963, 0.9558612464606643, BWD, 9.46070866923185),
+    (-1.0540809637356559, 1.5751937150822926, 0.0, BWD, 4.951032690631694),
+    (1.2260707597037233, -1.3622842997741031, 0.0, FWD, 9.80071997815743),
+    (-2.4873190934781744, 0.5758928414191491, -1.0904657619863585, BWD, 3.054612689639937),
+    (-0.38807099313651405, -0.12377122779009486, 0.5274604236048654, BWD, 1.600270343927118),
+    (-2.323871420005506, -0.02435727637406737, 1.5695225922239509, BWD, 3.8883990818899905),
+    (2.8594994080869043, 0.2534418885337928, -1.7630821413653939, FWD, 1.478932220813379),
+    (-0.7516599156868562, 0.2559888169882507, 0.936090400216325, BWD, 6.423539561585139),
+    (-0.4784378106312476, 2.5072530736176057, 0.6973989489659, BWD, 7.7493100066152305),
+]
+
+
+def test_newton_stops_when_its_step_is_below_the_last_bit(monkeypatch):
+    # converged after 5 Newton steps to f = -5.6e-17; the parent bisected
+    # 29 more times and returned -2.2432830466137657
+    h = HalfSystem(1.615988800530802, -0.43045934553500853, 1.1808109231686894)
+    domain(h)
+    counted = _count_residual_calls(monkeypatch)
+    y1 = evaluate(h, 3.125)
+    assert counted[0] <= 8
+    assert y1 == float("-2.24328304661376519")  # 40-digit reference, rounded
+    assert mpmath.almosteq(_mp_map_value(h, 3.125, y1), mpmath.mpf("-2.24328304661376519"),
+                           rel_eps=mpmath.mpf(10) ** -17)
+
+
+def test_formerly_stalled_solves_are_within_8_ulp_of_a_40_digit_reference():
+    for a, T, D, orientation, y0 in STALLED:
+        h = HalfSystem(a, T, D, orientation)
+        y1 = evaluate(h, y0)
+        assert _ulps(y1, float(_mp_map_value(h, y0, y1))) <= 8, (h, y0)
+    # the closed forms against quadrature, on one point of each branch used
+    with mpmath.workdps(40):
+        for a, T, D, orientation, y0 in (STALLED[0], STALLED[1], STALLED[4], STALLED[7]):
+            h = HalfSystem(a, T, D, orientation)
+            ref = _mp_map_value(h, y0, evaluate(h, y0))
+            fa, fT, fD = map(mpmath.mpf, h.forward_triple())
+            F = _mp_antiderivative(fa, fT, fD)
+            got = mpmath.quad(lambda y: -y / ((fD * y - fa * fT) * y + fa * fa), [ref, 0, y0])
+            assert abs(got - (F(y0) - F(ref))) <= mpmath.mpf(10) ** -30
 
 
 def test_zero_trace_positive_determinant_is_spared_the_discriminant_guard():
@@ -550,6 +647,18 @@ def test_zero_trace_positive_determinant_is_spared_the_discriminant_guard():
               HalfSystem(1e-150, 1e-200, -1e-30)):
         with pytest.raises(DomainError, match="discriminant underflows"):
             domain(h)
+
+
+def test_zero_trace_positive_determinant_has_no_w_root():
+    # W.disc = -4*D*a^2 underflows to 0 here and used to read as a double
+    # root at 0, so pv_integral refused a range across 0
+    for h in (HalfSystem(1e-150, 0.0, 1e-30), HalfSystem(-1e-150, 0.0, 1e-30),
+              HalfSystem(1e-150, 0.0, 1e-30, orientation=BWD)):
+        assert h._roots == ()
+        assert pv_integral(h, -1.0, 1.0) == 0.0  # odd integrand
+        assert pv_integral(h, -1.0, 2.0) == pytest.approx(-math.log(4.0) / 2e-30, rel=1e-15)
+    # a = 0 keeps W = D*y^2 and its double root at 0
+    assert HalfSystem(0.0, 0.0, 1e-30)._roots == (0.0,)
 
 
 def test_w_positive_between_images(rng):

@@ -15,14 +15,22 @@ holds this file) and writes one JSON object per line, in a fixed order:
   halfmap._integral and of the closures halfmap._residual returns (counted
   by wrapping the module attributes from outside, so any tree can be
   recorded);
+- kind "zeros": find_crossing_orbits at the default grid on the fixed
+  systems above and on seeded random ones, the orbits' kinds and y0 values,
+  and how many delta calls refining the zeros made (counted by wrapping
+  displacement.delta from outside), or the error the context raised;
 - kind "sign": the results of sign_delta_prime_at_zero and
   sign_delta_second_at_critical at zeros and at points that break a
-  hypothesis.
+  hypothesis, keyed by context and point index, so that a moved zero is a
+  changed float, not a new record.
 
 Record the parent and the change and diff the two files: identical files
-mean identical outputs, and for the map points identical solver paths.  --diff prints, per kind, how many records differ and
-the largest change, in units in the last place, between the floats that the
-two records print in the same positions.  It uses only the standard library.
+mean identical outputs, and for the map points identical solver paths.
+--diff prints, per kind, how many records differ and the largest change
+between the floats that the two records print in the same positions, in
+units in the last place and as |x - y| / max(1, |x|), and the same two
+figures for each record that differs only in floats.  It uses only the
+standard library.
 """
 
 from __future__ import annotations
@@ -242,6 +250,53 @@ def _map_points(pw, calls):
             yield rec
 
 
+def _zero_systems():
+    """(name, canonical entries): the systems above, then 200 seeded draws
+    with D = T^2/4 + U(-0.5, 2) in each zone, about one in five with an
+    isolated zero."""
+    rng = random.Random(11)
+    drawn = []
+    for i in range(200):
+        aL, aR = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        TL, TR = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        DL = TL * TL / 4.0 + rng.uniform(-0.5, 2.0)
+        DR = TR * TR / 4.0 + rng.uniform(-0.5, 2.0)
+        b = rng.choice([0.0, rng.uniform(-0.5, 0.5)])
+        drawn.append((f"zeros-{i}", {"TL": TL, "DL": DL, "aL": aL,
+                                     "TR": TR, "DR": DR, "aR": aR, "b": b}))
+    return _systems() + drawn
+
+
+def _zero_records(pw):
+    from pwlannulus import displacement
+
+    calls = [0]
+    delta = displacement.delta
+
+    def counted(ctx, y0):
+        calls[0] += 1
+        return delta(ctx, y0)
+
+    displacement.delta = counted
+    try:
+        for name, c in _zero_systems():
+            calls[0] = 0
+            try:
+                ctx = pw.make_context(pw.HalfSystem(c["aL"], c["TL"], c["DL"]),
+                                      pw.HalfSystem(c["aR"], c["TR"], c["DR"],
+                                                    pw.Orientation.BACKWARD), c["b"])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    orbits = pw.find_crossing_orbits(ctx)
+            except Exception as exc:  # the record names every outcome, raw ones too
+                yield {"kind": "zeros", "key": name, "error": f"{type(exc).__name__}: {exc}"}
+                continue
+            yield {"kind": "zeros", "key": name, "kinds": [o.kind.value for o in orbits],
+                   "y0": [repr(o.y0) for o in orbits], "delta_calls": calls[0]}
+    finally:
+        displacement.delta = delta
+
+
 def _sign_records(pw):
     bwd = pw.Orientation.BACKWARD
     contexts = [
@@ -257,14 +312,15 @@ def _sign_records(pw):
         ctx = pw.make_context(left, right, b)
         points = [ctx.lam, ctx.lam + 0.5, ctx.lam + 1.0, ctx.lam + 2.5, ctx.lam + 7.0]
         points += [o.y0 for o in pw.find_crossing_orbits(ctx, 64)]
-        for y0 in points:
+        for i, y0 in enumerate(points):
             try:
                 y1s = [pw.evaluate(left, y0)]
             except pw.PwlError:
                 y1s = [-1.0]
             y1s += [y1s[0] * (1.0 + 1e-3), 0.5]
-            for y1 in y1s:
-                yield {"kind": "sign", "key": f"{name} y0={y0!r} y1={y1!r}",
+            for j, y1 in enumerate(y1s):
+                yield {"kind": "sign", "key": f"{name} point {i} y1 {j}",
+                       "y0": repr(y0), "y1": repr(y1),
                        "prime": _outcome(pw.sign_delta_prime_at_zero, ctx, y0, y1),
                        "second": _outcome(pw.sign_delta_second_at_critical, ctx, y0, y1)}
 
@@ -278,6 +334,8 @@ def record(tree: str, out) -> None:
         for rec in _cli_records(pw, tmpdir):
             out.write(json.dumps(rec) + "\n")
     for rec in _map_records(pw):
+        out.write(json.dumps(rec) + "\n")
+    for rec in _zero_records(pw):
         out.write(json.dumps(rec) + "\n")
     for rec in _sign_records(pw):
         out.write(json.dumps(rec) + "\n")
@@ -293,12 +351,21 @@ def _ulps(x: float, y: float) -> int:
     return abs(ordered(x) - ordered(y))
 
 
-def _max_ulps(a: str, b: str) -> int | None:
-    """Largest ulp change between the floats a and b print in the same places."""
+def _scaled(x: float, y: float) -> float:
+    if x == y:  # also equal infinities
+        return 0.0
+    return abs(x - y) / max(1.0, abs(x))
+
+
+def _float_change(a: str, b: str) -> tuple[int, float] | None:
+    """Largest change between the floats a and b print in the same places: in
+    ulp, and as |x - y| / max(1, |x|); None when more than floats differ."""
     fa, fb = _FLOAT.findall(a), _FLOAT.findall(b)
     if len(fa) != len(fb) or _FLOAT.sub("#", a) != _FLOAT.sub("#", b):
         return None
-    return max((_ulps(float(x), float(y)) for x, y in zip(fa, fb)), default=0)
+    pairs = [(float(x), float(y)) for x, y in zip(fa, fb)]
+    return (max((_ulps(x, y) for x, y in pairs), default=0),
+            max((_scaled(x, y) for x, y in pairs), default=0.0))
 
 
 def diff(path_a: str, path_b: str) -> int:
@@ -312,25 +379,29 @@ def diff(path_a: str, path_b: str) -> int:
     for kind in sorted({k for k, _ in a} | {k for k, _ in b}):
         keys = sorted({k for k in a if k[0] == kind} | {k for k in b if k[0] == kind})
         unmatched = [k for k in keys if k not in a or k not in b]
-        fields = {}   # field -> [records differing, float-only, largest ulp]
+        fields = {}   # field -> [records differing, float-only, largest ulp, scaled]
         lines = []
         for key in keys:
             ra, rb = a.get(key), b.get(key)
             if key in unmatched or ra == rb:
                 continue
-            names = [f for f in ra if ra[f] != rb.get(f)]
-            for f in names:
-                count = fields.setdefault(f, [0, 0, 0])
+            names = []
+            for f in (f for f in ra if ra[f] != rb.get(f)):
+                count = fields.setdefault(f, [0, 0, 0, 0.0])
                 count[0] += 1
-                u = _max_ulps(str(ra[f]), str(rb.get(f)))
-                if u is not None:
-                    count[1] += 1
-                    count[2] = max(count[2], u)
+                change = _float_change(str(ra[f]), str(rb.get(f)))
+                if change is None:
+                    names.append(f)
+                    continue
+                count[1] += 1
+                count[2], count[3] = max(count[2], change[0]), max(count[3], change[1])
+                names.append(f"{f} ({change[0]} ulp, {change[1]:.3g})")
             lines.append(f"  {key[1]}: {', '.join(names)}")
         changed += len(lines) + len(unmatched)
         print(f"{kind}: {len(keys)} records, {len(lines)} differ, {len(unmatched)} unmatched")
-        for f, (n, floats, worst) in sorted(fields.items()):
-            print(f"  {f}: {n} differ, {floats} only in floats (largest {worst} ulp)")
+        for f, (n, floats, worst, scaled) in sorted(fields.items()):
+            print(f"  {f}: {n} differ, {floats} only in floats "
+                  f"(largest {worst} ulp, {scaled:.3g} scaled)")
         print("\n".join(lines + [f"  unmatched: {k[1]}" for k in unmatched]))
     return 1 if changed else 0
 
