@@ -18,7 +18,10 @@ pi*T/(D*sqrt(4D - T^2)) for a = 0 and twice that for a < 0.  The integrand is
 an explicit rational function, so the integral is evaluated by closed-form
 antiderivatives; root-finding on the lower endpoint is a bracketed bisection
 refined by safeguarded Newton steps, which stops once the residual is within
-RESIDUAL_TOL and the Newton step no longer moves the iterate's last bit.
+RESIDUAL_TOL and the Newton step no longer moves the iterate's last bit.  A
+solve along a grid (displacement.scan) may start instead from the map value
+at the previous, smaller y0 (see _evaluate_after): that value bounds the new
+one from above and the tangent through it predicts it.
 
 Everything in that identity except y0 is a per-system constant, fixed when
 a HalfSystem is built (see HalfSystem): W, its discriminant and roots, q,
@@ -336,11 +339,13 @@ def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
     return _integral(h, y1, y0)
 
 
-def _bracketed_newton(fd, lo, hi, flo, fhi):
+def _bracketed_newton(fd, lo, hi, flo, fhi, v):
     """Root of f on [lo, hi], lo < hi, with a sign change; safeguarded Newton.
 
     fd(v) returns (f(v), w) from one call, with f'(v) = v/w: w is W(v) for the
-    integral's lower endpoint and -W(v) for its upper one.  Converges on the
+    integral's lower endpoint and -W(v) for its upper one.  v, strictly
+    inside the bracket, is the first iterate: the midpoint for a cold solve,
+    a Newton step from a predicted point for a warm one.  Converges on the
     residual first, then keeps polishing until the Newton step stalls at the
     floating-point floor; a step that leaves the bracket is a bisection.  A
     step that rounds back to v itself (v - step == v) with the residual
@@ -356,7 +361,6 @@ def _bracketed_newton(fd, lo, hi, flo, fhi):
         raise ConvergenceError("root bracket does not straddle a sign change")
     pos_at_lo = flo > 0.0
     tol, step_tol, inf = RESIDUAL_TOL, STEP_TOL, math.inf
-    v = 0.5 * (lo + hi)
     for _ in range(MAX_ITER):
         fv, w = fd(v)
         d = v / w
@@ -403,7 +407,7 @@ def _solve_lambda(h: HalfSystem) -> float:
         return _integral(h, 0.0, lam) - q, -w(lam)   # slope -lam/W(lam)
 
     hi, ghi = _doubling_ladder(gd, 1.0, -1.0, "no upper bracket for the domain endpoint")
-    return _bracketed_newton(gd, 0.0, hi, -q, ghi)
+    return _bracketed_newton(gd, 0.0, hi, -q, ghi, 0.5 * hi)
 
 
 def domain(h: HalfSystem) -> HalfMapDomain:
@@ -503,7 +507,65 @@ def evaluate(h: HalfSystem, y0: float) -> float:
     lo, flo = _lower_bracket(h, fd, y0)
     if flo is None:
         return lo
-    return _bracketed_newton(fd, lo, 0.0, flo, f0)
+    return _bracketed_newton(fd, lo, 0.0, flo, f0, 0.5 * lo)
+
+
+def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:
+    """evaluate(h, y0) warm-started from y1p, the map value at some y0p < y0.
+
+    The map is strictly decreasing, so the residual at y1p is negative for
+    y0 > y0p and y1p is an upper bracket that costs no evaluation.  The
+    tangent y1p + slope*(y0 - y0p), with slope's closed form at (y0p, y1p),
+    predicts the value; the step below y1p doubles from there until the
+    residual turns positive, and Newton starts with the step from the
+    predicted point.  The steps stay above the floor of evaluate's own lower
+    bracket: its first rung, below which evaluate decides by rungs alone,
+    or the last point of its doubling ladder, below which it raises.  The
+    result agrees with evaluate's to within the Newton stop, or where the
+    residual's rounding is wider than that, within its rounding.
+
+    Falls back to evaluate where there is no warm start to give: no usable
+    previous value (y0p <= lam or y1p >= 0), the closed forms a = 0 and
+    T = 0, y0 within MU_GUARD of mu (evaluate warns and caps there), a step
+    that reaches the floor, and a residual that raises DomainError or is not
+    finite.
+    """
+    dom = domain(h)
+    a, T, _ = h._triple
+    if (not (dom.lam < y0p < y0 <= dom.mu * (1.0 - MU_GUARD)) or not y1p < 0.0
+            or a == 0.0 or T == 0.0):
+        return evaluate(h, y0)
+    w, rungs = h._w, h._rungs
+    if rungs is None:
+        floor = math.ldexp(-max(1.0, y0), MAX_ITER - 1)
+    else:
+        floor = rungs[0] if rungs else 0.0   # no rung: evaluate raises
+    den = y1p * w(y0p)
+    step = y0p * w(y1p) / den * (y0 - y0p) if den != 0.0 else 0.0
+    fd = _residual(h, y0)
+    hi, fhi = y1p, -math.inf   # the residual at y1p is negative, not evaluated
+    v = x = y1p + step
+    try:
+        for _ in range(MAX_ITER):
+            if not floor < x < hi:   # also a nan or infinite step
+                break
+            fx, wx = fd(x)
+            if not math.isfinite(fx):
+                break
+            if x == v:   # the predicted point: Newton steps from it
+                fv, wv = fx, wx
+            if fx >= 0.0:
+                d = v / wv
+                cand = v - fv / d if d != 0.0 else math.inf
+                if not x < cand < hi:
+                    cand = 0.5 * (x + hi)
+                return _bracketed_newton(fd, x, hi, fx, fhi, cand)
+            hi, fhi = x, fx
+            step *= 2.0
+            x = y1p + step
+    except DomainError:
+        pass
+    return evaluate(h, y0)
 
 
 def _require_interior(h: HalfSystem, y0: float) -> None:

@@ -1,13 +1,15 @@
-"""Shared draw helpers and independent quadrature oracles for the test suite."""
+"""Shared draw helpers, independent quadrature and 40-digit references for the test suite."""
 
 import math
 import random
+import struct
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
 from pwlannulus import (HalfSystem, Orientation, SystemParams, annulus_family,
-                        domain, exists)
+                        domain, exists, halfmap)
 
 # ---------------------------------------------------------------------------
 # independent principal-value quadrature oracle
@@ -36,9 +38,91 @@ def quad_pv(h: HalfSystem, y1: float, y0: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# a 40-digit reference of the map value, ulp distances, residual-call counts
+
+def ulps(x, y):
+    def ordered(v):
+        (n,) = struct.unpack("<q", struct.pack("<d", v))
+        return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
+    return abs(ordered(x) - ordered(y))
+
+
+def mp_antiderivative(a, T, D):
+    """F with F(y0) - F(y1) = integral_{y1}^{y0} -y/W(y) dy, in mpmath.
+
+    Closed forms at the working precision, on the exact values of the
+    doubles a, T, D: -y/W = -W'/(2D*W) - aT/(2D*W) with W = D*y^2 - aT*y + a^2,
+    the second term by its arctangent, logarithm or double-root form, and
+    -y/W = -1/c1 + (c0/c1)/W when D = 0 and W = c1*y + c0 is linear.
+    """
+    a, T, D = mpmath.mpf(a), mpmath.mpf(T), mpmath.mpf(D)
+    c1, c0 = -a * T, a * a
+    disc = c1 * c1 - 4 * D * c0
+
+    def F(y):
+        if D == 0:
+            return -y / c1 + c0 / c1 ** 2 * mpmath.log(abs(c1 * y + c0))
+        u = 2 * D * y + c1
+        if disc < 0:
+            s = mpmath.sqrt(-disc)
+            g = 2 / s * mpmath.atan(u / s)
+        elif disc > 0:
+            s = mpmath.sqrt(disc)
+            g = mpmath.log(abs((u - s) / (u + s))) / s
+        else:
+            g = -2 / u
+        return -mpmath.log(abs((D * y + c1) * y + c0)) / (2 * D) + c1 / (2 * D) * g
+    return F
+
+
+def mp_residual(h, y0):
+    """R(v) = integral_v^{y0} -y/W(y) dy - q to 40 digits, on the closed forms."""
+    a, T, D = h.forward_triple()
+    with mpmath.workdps(40):
+        F = mp_antiderivative(a, T, D)
+        q = mpmath.mpf(0) if a > 0.0 else (2 * mpmath.pi * T / (mpmath.mpf(D) * mpmath.sqrt(
+            4 * mpmath.mpf(D) - mpmath.mpf(T) ** 2)))
+        f0 = F(mpmath.mpf(y0))
+
+    def R(v):
+        with mpmath.workdps(40):
+            return f0 - F(mpmath.mpf(v)) - q
+    return R
+
+
+def mp_map_value(h, y0, guess):
+    """The map value at y0 to 40 digits: mpmath.findroot on the closed forms."""
+    R = mp_residual(h, y0)
+    with mpmath.workdps(40):
+        return mpmath.findroot(R, mpmath.mpf(guess))
+
+
+def count_residual_calls(monkeypatch):
+    """Count _integral calls and calls of the closures _residual returns."""
+    calls = [0]
+    integral, residual = halfmap._integral, halfmap._residual
+
+    def counted(h, y1, y0):
+        calls[0] += 1
+        return integral(h, y1, y0)
+
+    def counted_residual(h, y0):
+        fd = residual(h, y0)
+
+        def counted_fd(v):
+            calls[0] += 1
+            return fd(v)
+        return counted_fd
+
+    monkeypatch.setattr(halfmap, "_integral", counted)
+    monkeypatch.setattr(halfmap, "_residual", counted_residual)
+    return calls
+
+
+# ---------------------------------------------------------------------------
 # valid half-system draws spanning a-signs and spectral cases
 
-_CATEGORIES = ("a_neg_complex", "a_zero_complex", "a_pos_complex",
+CATEGORIES = ("a_neg_complex", "a_zero_complex", "a_pos_complex",
                "a_pos_real_distinct", "a_pos_det_neg", "a_pos_real_double",
                "a_pos_det_zero")
 
@@ -46,7 +130,7 @@ _CATEGORIES = ("a_neg_complex", "a_zero_complex", "a_pos_complex",
 def draw_forward_triple(rng: random.Random, category: str | None = None):
     """(a, T, D) with an existing forward half-map in the asked category."""
     if category is None:
-        category = rng.choice(_CATEGORIES)
+        category = rng.choice(CATEGORIES)
     T = rng.uniform(-2.0, 2.0)
     if category == "a_neg_complex":
         a = rng.uniform(-3.0, -0.2)

@@ -7,7 +7,7 @@ import pytest
 
 from pwlannulus import (DomainError, HalfSystem, Orientation, cli, from_canonical,
                         halfmap, make_context, to_canonical)
-from pwlannulus.displacement import scan_grid
+from pwlannulus.displacement import scan, scan_grid
 
 
 def write_json(tmp_path, name, payload):
@@ -132,14 +132,16 @@ def test_typed_errors_name_their_class(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["halfmap", "displacement"])
 def test_table_commands_evaluate_each_map_once_per_row(annulus_file, command,
                                                        monkeypatch):
+    # one solve binds one residual closure, whether a cold evaluate or a
+    # scan row warm-started from the row before makes it
     calls = []
-    evaluate = halfmap.evaluate
+    residual = halfmap._residual
 
     def counted(h, y0):
         calls.append(y0)
-        return evaluate(h, y0)
+        return residual(h, y0)
 
-    monkeypatch.setattr(halfmap, "evaluate", counted)
+    monkeypatch.setattr(halfmap, "_residual", counted)
     code, _ = run_cli(["--input", annulus_file, "--cmd", command, "--grid", "32"])
     assert code == 0
     assert len(calls) == 2 * 32
@@ -156,10 +158,17 @@ def test_halfmap_slope_of_the_shifted_right_map(tmp_path):
         a_right=2.0, trace_right=-0.5, det_right=1.3, offset=0.3))
     right, b = canon.right, canon.b
     assert b != 0.0
-    for row in json.loads(text)["rows"]:
-        assert row["yRb"] == halfmap.evaluate(right, row["y0"] - b) + b
+    rows = json.loads(text)["rows"]
+    scanned = scan(make_context(canon.left, right, b), 16).rows
+    assert len(rows) == len(scanned)
+    for row, (y0, _, yr, _) in zip(rows, scanned):
+        # the scan's right value, shifted; within 1e-13 of a cold solve
+        assert row["y0"] == y0 and row["yRb"] == yr + b
+        cold = halfmap.evaluate(right, y0 - b)
+        assert abs(yr - cold) <= 1e-13 * abs(cold)
+        assert abs(row["yRb"] - (cold + b)) <= 1e-13 * abs(cold)
         try:
-            want = halfmap.derivative(right, row["y0"] - b)
+            want = halfmap.slope(right, y0 - b, yr)
         except DomainError:
             want = None
         assert row["dyRb"] == want

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwlannulus import (CanonicalSystem, ContractError, DomainError,
+from pwlannulus import (CanonicalSystem, ConditioningWarning, ContractError, DomainError,
                         EmptyDomainError, HalfSystem, Orientation, OrbitKind,
                         PreconditionError, PwlError, annulus_family, delta, delta_prime,
-                        evaluate, f_value, find_crossing_orbits, halfmap,
+                        domain, evaluate, f_value, find_crossing_orbits, halfmap,
                         make_context, sign_delta_prime_at_zero,
-                        sign_delta_second_at_critical, to_canonical, verify_periodic)
+                        sign_delta_second_at_critical, to_canonical, verify_periodic, wpoly)
 from pwlannulus import displacement
 from pwlannulus.displacement import (REFINE_WIDTH, CrossingOrbit, orbits_from_scan, scan,
                                       scan_grid, scan_window)
+from conftest import (CATEGORIES, count_residual_calls, draw_half_system, mp_map_value,
+                      mp_residual, ulps)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -179,14 +181,19 @@ def test_scan_builds_one_w_per_half_system(monkeypatch):
 
 
 def test_scan_rows_are_the_map_values_and_delta():
+    # rows after the first are warm-started from the row before, so they
+    # match a cold evaluate to within the Newton stop, not bit for bit
     ctx = ctx_of(ISO_LEFT, ISO_RIGHT, b=0.3)
     record = scan(ctx, 16)
     assert [r.y0 for r in record.rows] == scan_grid(ctx, 16)
     assert (record.lo, record.hi) == scan_window(ctx)
     for y0, yl, yr, d in record.rows:
-        assert yl == evaluate(ISO_LEFT, y0)
-        assert yr == evaluate(ISO_RIGHT, y0 - 0.3)  # not shifted by b
-        assert repr(d) == repr(delta(ctx, y0))
+        for h, y, got in ((ISO_LEFT, y0, yl), (ISO_RIGHT, y0 - 0.3, yr)):  # yR not shifted by b
+            cold = evaluate(h, y)
+            assert abs(got - cold) <= 1e-13 * abs(cold), (h, y)
+            assert ulps(got, float(mp_map_value(h, y, got))) <= 16, (h, y)
+        assert repr(d) == repr(yr + 0.3 - yl)
+    assert record.rows[0] == displacement._row(ctx, record.lo)
 
 
 @pytest.mark.parametrize("left, right", [
@@ -294,6 +301,123 @@ def test_scan_rejects_tiny_grid():
     ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
     with pytest.raises(PreconditionError):
         find_crossing_orbits(ctx, 1)
+
+
+# -- warm-started scan rows ---------------------------------------------------
+
+def _rounding_band(h, y0, v):
+    """Half-width in y1, around v, of the band in which rounding hides the
+    residual's sign: the largest gap between the solver's residual and a
+    40-digit one over 33 doubles spaced 1e-14*|v| around v, over |R'(v)|.
+
+    A cold solve and a warm one both stop inside this band, so where it is
+    wider than 1e-13*|v| they stop at different points of it.
+    """
+    fd, R = halfmap._residual(h, y0), mp_residual(h, y0)
+    noise = max(abs(float(R(x) - fd(x)[0]))
+                for x in (v + k * 1e-14 * abs(v) for k in range(-16, 17)))
+    return noise * wpoly(h)(v) / abs(v)
+
+
+def _warm_contexts():
+    """Seeded contexts, both zones in one of conftest's draw categories (a < 0,
+    with lam > 0 where the forward T < 0; a = 0; complex; real with W's roots
+    of one sign or of both; double; linear), T = 0 pairs and one pair whose
+    values run into W's negative root; b = 0 or drawn, which also puts the
+    right map's lam below the context's."""
+    rng = random.Random(1212)
+    draws = [(draw_half_system(rng, category, FWD), draw_half_system(rng, category, BWD))
+             for category in CATEGORIES for _ in range(3)]
+    draws += [(HalfSystem(rng.uniform(0.2, 3.0), 0.0, rng.uniform(-2.0, 2.0)),
+               HalfSystem(-rng.uniform(0.2, 3.0), 0.0, rng.uniform(0.1, 2.0), BWD))
+              for _ in range(2)]
+    draws.append((HalfSystem(0.25, -2.5, 0.125), HalfSystem(-0.25, 2.5, 0.125, BWD)))
+    contexts = [ctx_of(left, right, 0.0 if i % 2 == 0 else rng.uniform(-0.5, 0.5))
+                for i, (left, right) in enumerate(draws)]
+    return [ctx for ctx in contexts if not ctx.is_empty]
+
+
+def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
+    # each map walks the grid as scan does; where cold evaluate raises the
+    # warm start raises the same class, and the walk goes on from the last
+    # value it has
+    cold = halfmap.evaluate
+    fell = []
+    monkeypatch.setattr(halfmap, "evaluate", lambda h, y0: fell.append(h) or cold(h, y0))
+    warm, fallbacks, raised = [], set(), 0
+    for ctx in _warm_contexts():
+        walked = []
+        for h, shift in ((ctx.right, ctx.b), (ctx.left, 0.0)):
+            dom = domain(h)
+            kind = ("a_zero" if h.a == 0.0 else h._kernel[0], h._rungs is not None,
+                    dom.lam > 0.0, math.isfinite(dom.mu), shift != 0.0)
+            prev, values = None, []
+            for y0 in scan_grid(ctx, 64):
+                y = y0 - shift
+                try:
+                    want = cold(h, y)
+                except PwlError as exc:
+                    if prev is not None:
+                        raised += 1
+                        with pytest.raises(type(exc)):
+                            halfmap._evaluate_after(h, y, *prev)
+                    values.append(type(exc))
+                    continue
+                got = want
+                if prev is not None:
+                    fell.clear()
+                    got = halfmap._evaluate_after(h, y, *prev)
+                    if not fell:
+                        warm.append(kind)
+                    elif prev[0] > dom.lam:
+                        fallbacks.add(kind[0])
+                gap = abs(got - want)
+                if gap > 1e-13 * abs(want):   # then within the residual's rounding
+                    assert gap <= 1e-13 * abs(want) + 4.0 * _rounding_band(h, y, want), (h, y)
+                values.append(got)
+                prev = (y, got)
+            walked.append(values)
+        try:
+            rows = scan(ctx, 64).rows
+        except PwlError as exc:
+            assert type(exc) in walked[0] + walked[1]
+            continue
+        assert [r.yR for r in rows] == walked[0]
+        assert [r.yL for r in rows] == walked[1]
+    assert len(warm) > 2000 and raised > 0
+    # the warm start ran on each solved branch, with and without rungs,
+    # with lam > 0, finite mu and b != 0
+    assert {k[:2] for k in warm} == {("complex", False), ("real", True), ("real", False),
+                                      ("double", True), ("double", False),
+                                      ("linear", True), ("linear", False)}
+    assert all(any(k[i] for k in warm) for i in (2, 3, 4))
+    # closed forms always, and the real values pinned at W's negative root
+    assert fallbacks == {"a_zero", "even", "real"}
+
+
+def test_warm_start_falls_back_where_evaluate_warns_or_raises():
+    h = HalfSystem(1.0, 1.0, -1.0)   # mu = (sqrt(5) - 1)/2
+    mu = domain(h).mu
+    with pytest.warns(ConditioningWarning):
+        want = evaluate(h, mu * (1.0 - 1e-10))
+    with pytest.warns(ConditioningWarning):
+        assert halfmap._evaluate_after(h, mu * (1.0 - 1e-10), 0.5, evaluate(h, 0.5)) == want
+    for y0 in (mu, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            halfmap._evaluate_after(h, y0, 0.5, evaluate(h, 0.5))
+    # a = 0 whose value leaves the double range
+    overflow = HalfSystem(0.0, 1.0, 0.25000000000025)
+    with pytest.raises(DomainError, match="exceeds the double range"):
+        halfmap._evaluate_after(overflow, 2.0, 1.0, -1.0)
+
+
+def test_scan_makes_the_pinned_number_of_residual_evaluations(monkeypatch):
+    # 64 rows of two maps, rows 0 and 1 cold (y0p = lam = 0 on row 1) and
+    # the rest warm-started; cold solves of every row make 1212
+    ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
+    counted = count_residual_calls(monkeypatch)
+    scan(ctx, 64)
+    assert counted[0] == 557
 
 
 # -- derivative signs ---------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import math
 import random
-import struct
 import sys
 import warnings
 
@@ -14,7 +13,8 @@ from pwlannulus import (ConditioningWarning, DomainError, HalfSystem, NoReturnEr
                         Orientation, PwlError, derivative, domain, evaluate, exists,
                         halfmap, oracle_halfmap, pv_integral, puiseux_at_lambda, q_value,
                         sign_relation, taylor_at_zero, wpoly)
-from conftest import domain_point, draw_half_system, proper_pv_interval, quad_pv
+from conftest import (count_residual_calls, domain_point, draw_half_system, mp_antiderivative,
+                      mp_map_value, proper_pv_interval, quad_pv, ulps)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -471,28 +471,6 @@ def test_residual_closure_repeats_the_integral_and_slope_bitwise():
     assert seen == set(BRANCHES)
 
 
-def _count_residual_calls(monkeypatch):
-    """Count _integral calls and calls of the closures _residual returns."""
-    calls = [0]
-    integral, residual = halfmap._integral, halfmap._residual
-
-    def counted(h, y1, y0):
-        calls[0] += 1
-        return integral(h, y1, y0)
-
-    def counted_residual(h, y0):
-        fd = residual(h, y0)
-
-        def counted_fd(v):
-            calls[0] += 1
-            return fd(v)
-        return counted_fd
-
-    monkeypatch.setattr(halfmap, "_integral", counted)
-    monkeypatch.setattr(halfmap, "_residual", counted_residual)
-    return calls
-
-
 @pytest.mark.parametrize("h, y0, calls, y1", [
     # a = 0 and T = 0: closed forms, no solve
     pytest.param(HalfSystem(0.0, 1.0, 1.0), 1.0, 0, "-6.133707406236227", id="a_zero"),
@@ -519,7 +497,7 @@ def test_evaluate_makes_the_pinned_number_of_residual_evaluations(monkeypatch, h
     if y0 == "lam":
         y0 = domain(h).lam
     domain(h)  # the lambda solve is not counted here
-    counted = _count_residual_calls(monkeypatch)
+    counted = count_residual_calls(monkeypatch)
     assert repr(evaluate(h, y0)) == y1
     assert counted[0] == calls
 
@@ -532,56 +510,10 @@ def test_evaluate_residual_evaluations_on_draws(monkeypatch):
     for _ in range(400):
         h = draw_half_system(rng)
         points.append((h, domain_point(rng, h)))
-    counted = _count_residual_calls(monkeypatch)
+    counted = count_residual_calls(monkeypatch)
     for h, y0 in points:
         evaluate(h, y0)
     assert counted[0] == 3259
-
-
-def _ulps(x, y):
-    def ordered(v):
-        (n,) = struct.unpack("<q", struct.pack("<d", v))
-        return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
-    return abs(ordered(x) - ordered(y))
-
-
-def _mp_antiderivative(a, T, D):
-    """F with F(y0) - F(y1) = integral_{y1}^{y0} -y/W(y) dy, in mpmath.
-
-    Closed forms at the working precision, on the exact values of the
-    doubles a, T, D: -y/W = -W'/(2D*W) - aT/(2D*W) with W = D*y^2 - aT*y + a^2,
-    the second term by its arctangent, logarithm or double-root form, and
-    -y/W = -1/c1 + (c0/c1)/W when D = 0 and W = c1*y + c0 is linear.
-    """
-    a, T, D = mpmath.mpf(a), mpmath.mpf(T), mpmath.mpf(D)
-    c1, c0 = -a * T, a * a
-    disc = c1 * c1 - 4 * D * c0
-
-    def F(y):
-        if D == 0:
-            return -y / c1 + c0 / c1 ** 2 * mpmath.log(abs(c1 * y + c0))
-        u = 2 * D * y + c1
-        if disc < 0:
-            s = mpmath.sqrt(-disc)
-            g = 2 / s * mpmath.atan(u / s)
-        elif disc > 0:
-            s = mpmath.sqrt(disc)
-            g = mpmath.log(abs((u - s) / (u + s))) / s
-        else:
-            g = -2 / u
-        return -mpmath.log(abs((D * y + c1) * y + c0)) / (2 * D) + c1 / (2 * D) * g
-    return F
-
-
-def _mp_map_value(h, y0, guess):
-    """The map value at y0 to 40 digits: mpmath.findroot on the closed forms."""
-    with mpmath.workdps(40):
-        a, T, D = h.forward_triple()
-        F = _mp_antiderivative(a, T, D)
-        q = mpmath.mpf(0) if a > 0.0 else (2 * mpmath.pi * T / (mpmath.mpf(D) * mpmath.sqrt(
-            4 * mpmath.mpf(D) - mpmath.mpf(T) ** 2)))
-        f0 = F(mpmath.mpf(y0))
-        return mpmath.findroot(lambda y: f0 - F(y) - q, mpmath.mpf(guess))
 
 
 # Newton reached the residual tolerance on these, then its step rounded back
@@ -609,11 +541,11 @@ def test_newton_stops_when_its_step_is_below_the_last_bit(monkeypatch):
     # 29 more times and returned -2.2432830466137657
     h = HalfSystem(1.615988800530802, -0.43045934553500853, 1.1808109231686894)
     domain(h)
-    counted = _count_residual_calls(monkeypatch)
+    counted = count_residual_calls(monkeypatch)
     y1 = evaluate(h, 3.125)
     assert counted[0] <= 8
     assert y1 == float("-2.24328304661376519")  # 40-digit reference, rounded
-    assert mpmath.almosteq(_mp_map_value(h, 3.125, y1), mpmath.mpf("-2.24328304661376519"),
+    assert mpmath.almosteq(mp_map_value(h, 3.125, y1), mpmath.mpf("-2.24328304661376519"),
                            rel_eps=mpmath.mpf(10) ** -17)
 
 
@@ -621,14 +553,14 @@ def test_formerly_stalled_solves_are_within_8_ulp_of_a_40_digit_reference():
     for a, T, D, orientation, y0 in STALLED:
         h = HalfSystem(a, T, D, orientation)
         y1 = evaluate(h, y0)
-        assert _ulps(y1, float(_mp_map_value(h, y0, y1))) <= 8, (h, y0)
+        assert ulps(y1, float(mp_map_value(h, y0, y1))) <= 8, (h, y0)
     # the closed forms against quadrature, on one point of each branch used
     with mpmath.workdps(40):
         for a, T, D, orientation, y0 in (STALLED[0], STALLED[1], STALLED[4], STALLED[7]):
             h = HalfSystem(a, T, D, orientation)
-            ref = _mp_map_value(h, y0, evaluate(h, y0))
+            ref = mp_map_value(h, y0, evaluate(h, y0))
             fa, fT, fD = map(mpmath.mpf, h.forward_triple())
-            F = _mp_antiderivative(fa, fT, fD)
+            F = mp_antiderivative(fa, fT, fD)
             got = mpmath.quad(lambda y: -y / ((fD * y - fa * fT) * y + fa * fa), [ref, 0, y0])
             assert abs(got - (F(y0) - F(ref))) <= mpmath.mpf(10) ** -30
 

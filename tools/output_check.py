@@ -17,8 +17,10 @@ holds this file) and writes one JSON object per line, in a fixed order:
   recorded);
 - kind "zeros": find_crossing_orbits at the default grid on the fixed
   systems above and on seeded random ones, the orbits' kinds and y0 values,
-  and how many delta calls refining the zeros made (counted by wrapping
-  displacement.delta from outside), or the error the context raised;
+  how many delta calls refining the zeros made (counted by wrapping
+  displacement.delta from outside) and how many residual evaluations the
+  whole call made, its scan included (counted as for the map records), or
+  the error the context raised;
 - kind "sign": the results of sign_delta_prime_at_zero and
   sign_delta_second_at_critical at zeros and at points that break a
   hypothesis, keyed by context and point index, so that a moved zero is a
@@ -29,7 +31,9 @@ mean identical outputs, and for the map points identical solver paths.
 --diff prints, per kind, how many records differ and the largest change
 between the floats that the two records print in the same positions, in
 units in the last place and as |x - y| / max(1, |x|), and the same two
-figures for each record that differs only in floats.  It uses only the
+figures for each record that differs only in floats; a count field
+(delta_calls, residual_calls) that differs is printed as both values, per
+record and summed over all records.  It uses only the
 standard library.
 """
 
@@ -191,11 +195,11 @@ MAP_CATEGORIES = ("a_neg_complex", "a_neg_lam", "a_zero", "a_pos_complex", "a_po
                   "tiny_trace")
 
 
-def _map_records(pw):
-    """The map records, counting residual evaluations on any tree: calls of
-    halfmap._integral, and of the closures halfmap._residual returns where the
-    tree has it."""
-    hm = pw.halfmap
+@contextlib.contextmanager
+def _residual_calls(hm):
+    """[count] of residual evaluations while the block runs, on any tree:
+    calls of halfmap._integral, and of the closures halfmap._residual returns
+    where the tree has it."""
     calls = [0]
     integral, residual = hm._integral, getattr(hm, "_residual", None)
 
@@ -215,11 +219,16 @@ def _map_records(pw):
     if residual is not None:
         hm._residual = counted_residual
     try:
-        yield from _map_points(pw, calls)
+        yield calls
     finally:
         hm._integral = integral
         if residual is not None:
             hm._residual = residual
+
+
+def _map_records(pw):
+    with _residual_calls(pw.halfmap) as calls:
+        yield from _map_points(pw, calls)
 
 
 def _map_points(pw, calls):
@@ -279,20 +288,23 @@ def _zero_records(pw):
 
     displacement.delta = counted
     try:
-        for name, c in _zero_systems():
-            calls[0] = 0
-            try:
-                ctx = pw.make_context(pw.HalfSystem(c["aL"], c["TL"], c["DL"]),
-                                      pw.HalfSystem(c["aR"], c["TR"], c["DR"],
-                                                    pw.Orientation.BACKWARD), c["b"])
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    orbits = pw.find_crossing_orbits(ctx)
-            except Exception as exc:  # the record names every outcome, raw ones too
-                yield {"kind": "zeros", "key": name, "error": f"{type(exc).__name__}: {exc}"}
-                continue
-            yield {"kind": "zeros", "key": name, "kinds": [o.kind.value for o in orbits],
-                   "y0": [repr(o.y0) for o in orbits], "delta_calls": calls[0]}
+        with _residual_calls(pw.halfmap) as residuals:
+            for name, c in _zero_systems():
+                try:
+                    ctx = pw.make_context(pw.HalfSystem(c["aL"], c["TL"], c["DL"]),
+                                          pw.HalfSystem(c["aR"], c["TR"], c["DR"],
+                                                        pw.Orientation.BACKWARD), c["b"])
+                    calls[0] = residuals[0] = 0   # not the lambda solves of make_context
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        orbits = pw.find_crossing_orbits(ctx)
+                except Exception as exc:  # the record names every outcome, raw ones too
+                    yield {"kind": "zeros", "key": name,
+                           "error": f"{type(exc).__name__}: {exc}"}
+                    continue
+                yield {"kind": "zeros", "key": name, "kinds": [o.kind.value for o in orbits],
+                       "y0": [repr(o.y0) for o in orbits], "delta_calls": calls[0],
+                       "residual_calls": residuals[0]}
     finally:
         displacement.delta = delta
 
@@ -380,15 +392,26 @@ def diff(path_a: str, path_b: str) -> int:
         keys = sorted({k for k in a if k[0] == kind} | {k for k in b if k[0] == kind})
         unmatched = [k for k in keys if k not in a or k not in b]
         fields = {}   # field -> [records differing, float-only, largest ulp, scaled]
+        totals = {}   # count field -> [sum in A, sum in B] over the records both hold
         lines = []
         for key in keys:
             ra, rb = a.get(key), b.get(key)
-            if key in unmatched or ra == rb:
+            if key in unmatched:
+                continue
+            for f in ra:
+                if f.endswith("_calls") and isinstance(rb.get(f), int):
+                    total = totals.setdefault(f, [0, 0])
+                    total[0] += ra[f]
+                    total[1] += rb[f]
+            if ra == rb:
                 continue
             names = []
             for f in (f for f in ra if ra[f] != rb.get(f)):
                 count = fields.setdefault(f, [0, 0, 0, 0.0])
                 count[0] += 1
+                if f in totals:
+                    names.append(f"{f} ({ra[f]} -> {rb[f]})")
+                    continue
                 change = _float_change(str(ra[f]), str(rb.get(f)))
                 if change is None:
                     names.append(f)
@@ -400,6 +423,9 @@ def diff(path_a: str, path_b: str) -> int:
         changed += len(lines) + len(unmatched)
         print(f"{kind}: {len(keys)} records, {len(lines)} differ, {len(unmatched)} unmatched")
         for f, (n, floats, worst, scaled) in sorted(fields.items()):
+            if f in totals:
+                print(f"  {f}: {n} differ, {totals[f][0]} -> {totals[f][1]} in all")
+                continue
             print(f"  {f}: {n} differ, {floats} only in floats "
                   f"(largest {worst} ulp, {scaled:.3g} scaled)")
         print("\n".join(lines + [f"  unmatched: {k[1]}" for k in unmatched]))
