@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError
+from .halfmap import existence_clause
 from .params import DerivedQuantities, SystemParams, derive_invariants, from_canonical
 
 DEFAULT_TOL = 1e-12
@@ -78,8 +79,8 @@ def check_H(d: DerivedQuantities) -> tuple[bool, list[ConditionRecord]]:
     crossing_ok = d.a12_product > 0.0
     left_disc = 4.0 * d.DL - d.TL * d.TL
     right_disc = 4.0 * d.DR - d.TR * d.TR
-    left_ok = (d.aL <= 0.0 and left_disc > 0.0) or d.aL > 0.0
-    right_ok = (d.aR >= 0.0 and right_disc > 0.0) or d.aR < 0.0
+    left_ok = existence_clause(d.aL, d.TL, d.DL)
+    right_ok = existence_clause(-d.aR, -d.TR, d.DR)   # the backward map's forward triple
     records = [
         ConditionRecord("H-crossing", d.a12_product, crossing_ok),
         ConditionRecord("H-left", d.aL if d.aL > 0.0 else left_disc, left_ok),

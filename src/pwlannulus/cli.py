@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from . import classifier, displacement, halfmap, oracle
 from .errors import DomainError, NoReturnError, PwlError, TangencyError
@@ -169,45 +172,132 @@ def _load_params(path: str) -> SystemParams:
 
 
 # -- emission ----------------------------------------------------------------
+#
+# A table is written in one piece from a row template built once from its
+# header.  A column whose cells all print as their repr fills a %r slot in
+# C; any other column is converted cell by cell first.  The bytes are those
+# of json.dumps({**head, "rows": [dict(zip(header, r)) for r in rows],
+# **tail}, indent=2) + "\n", and of csv.writer(out, lineterminator="\n")
+# writing the header and the rows.
 
-def _emit_json(out, payload) -> None:
-    out.write(json.dumps(payload, indent=2) + "\n")  # one write, not one per token
+_CSV_REPR = {float, int, bool}   # csv.writer prints repr(float) and str(int), str(bool)
+_CSV_QUOTED = re.compile('[,"\r\n]')
 
 
-def _emit_csv(out, header, rows) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+def _plain(col) -> bool:
+    """Whether json writes every cell of col as its repr: all ints, or all
+    finite floats."""
+    kinds = set(map(type, col))
+    return kinds == {int} or kinds == {float} and all(map(math.isfinite, col))
+
+
+def _json_cell(v) -> str:
+    """v as json.dumps(..., indent=2) writes it as the value of a row's key."""
+    if v is None:
+        return "null"
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0.0 else "-Infinity"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, (list, tuple)) and v and _plain(v):   # sweep's params
+        return "[\n        " + ",\n        ".join(map(repr, v)) + "\n      ]"
+    if isinstance(v, (list, tuple, dict)):
+        return json.dumps(v, indent=2).replace("\n", "\n      ")
+    return json.dumps(v)
+
+
+def _json_column(col) -> tuple[str, list]:
+    if _plain(col):
+        return "%r", col
+    if set(map(type, col)) == {str}:
+        return "%s", list(map(encode_basestring_ascii, col))
+    return "%s", list(map(_json_cell, col))
+
+
+def _rows_of(cols, n: int):
+    """The rows of a transposed table; n empty rows when it has no columns."""
+    return zip(*cols) if cols else [()] * n
+
+
+def _json_table(header, rows, head=None, tail=None) -> str:
+    """The table as json.dumps of head, then "rows" as objects keyed by the
+    header, then tail (keys distinct, none of them "rows")."""
+    start = "{" + (json.dumps(head, indent=2)[1:-2] + "," if head else "") + '\n  "rows": '
+    end = ("," + json.dumps(tail, indent=2)[1:-2] if tail else "") + "\n}\n"
+    if not rows:
+        return start + "[]" + end
+    slots = [_json_column(col) for col in zip(*rows)]
+    template = "    {\n" + ",\n".join(
+        f"      {encode_basestring_ascii(name).replace('%', '%%')}: {fmt}"
+        for name, (fmt, _) in zip(header, slots)) + "\n    }" if header else "    {}"
+    body = ",\n".join(map(template.__mod__, _rows_of([col for _, col in slots], len(rows))))
+    return "".join((start, "[\n", body, "\n  ]", end))
+
+
+def _csv_line(row) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
+
+
+def _csv_table(header, rows) -> str:
+    """The header and the rows as csv.writer writes them; a row with a cell
+    that needs quoting, or that is not a number, a string or None, is left
+    to csv.writer."""
+    cols, fmts, odd = [], [], set()
+    wide = len(header) > 1   # a lone empty field is written ""
+    for col in zip(*rows):
+        kinds = set(map(type, col))
+        fmts.append("%r" if kinds <= _CSV_REPR else "%s")
+        if kinds <= _CSV_REPR or (kinds == {str} and not _CSV_QUOTED.search("".join(col))
+                                  and (wide or all(col))):
+            cols.append(col)
+            continue
+        cells = []
+        for i, v in enumerate(col):
+            if type(v) in _CSV_REPR:
+                v = repr(v)
+            elif v is None:
+                v = ""
+            elif type(v) is not str or _CSV_QUOTED.search(v):
+                odd.add(i)
+            if not (wide or v):
+                odd.add(i)
+            cells.append(v)
+        cols.append(cells)
+    lines = [_csv_line(header)]
+    lines += map((",".join(fmts) + "\n").__mod__, _rows_of(cols, len(rows)))
+    for i in odd:
+        lines[i + 1] = _csv_line(rows[i])
+    return "".join(lines)
 
 
 def _emit_table(cfg: RunConfig, out, header, rows, *, head=None, tail=None) -> None:
-    """json: head, then "rows" as objects keyed by the header, then tail.
-    csv: the header and the rows; the csv writer prints a float as its repr
-    and None as an empty cell."""
-    if cfg.output_format == "json":
-        _emit_json(out, {**(head or {}), "rows": [dict(zip(header, r)) for r in rows],
-                         **(tail or {})})
-    else:
-        _emit_csv(out, header, rows)
+    """One write of the table: json keys the rows by the header between head
+    and tail; csv writes the header and the rows (a float as its repr, None
+    as an empty cell)."""
+    out.write(_json_table(header, rows, head, tail) if cfg.output_format == "json"
+              else _csv_table(header, rows))
 
 
 def _run_classify(cfg: RunConfig, p: SystemParams, out) -> int:
     tol = cfg.tolerances.get("classify", classifier.DEFAULT_TOL)
     cls = classifier.classify(p, tol)
-    if cfg.output_format == "json":
-        _emit_json(out, {
+    if cfg.output_format == "json":  # a few lines: no table
+        out.write(json.dumps({
             "verdict": cls.verdict.value,
             "records": [{"name": r.name, "value": r.value, "passed": r.passed}
                         for r in cls.records],
-            "sliding": list(cls.sliding) if cls.sliding is not None else None})
+            "sliding": list(cls.sliding) if cls.sliding is not None else None},
+            indent=2) + "\n")
     else:
-        rows = [["verdict", cls.verdict.value, ""]]
-        rows += [[r.name, repr(r.value), "pass" if r.passed else "fail"]
-                 for r in cls.records]
+        rows = [("verdict", cls.verdict.value, "")]
+        rows += [(r.name, r.value, "pass" if r.passed else "fail") for r in cls.records]
         if cls.sliding is not None:
-            rows.append(["sliding", repr(cls.sliding[0]), repr(cls.sliding[1])])
-        _emit_csv(out, ["record", "value", "status"], rows)
+            rows.append(("sliding", *cls.sliding))
+        out.write(_csv_table(("record", "value", "status"), rows))
     return EXIT_OK
 
 
@@ -264,8 +354,8 @@ def _run_portrait(cfg: RunConfig, p: SystemParams, out) -> int:
                 ev = oracle.next_crossing(zone, y0, direction)
             except (NoReturnError, TangencyError):
                 continue
-            for t, x, y in oracle.sample_trajectory(zone, 0.0, y0, sgn * ev.t, cfg.grid):
-                rows.append((i, leg, t, x, y))
+            rows += [(i, leg, t, x, y)
+                     for t, x, y in oracle.sample_trajectory(zone, 0.0, y0, sgn * ev.t, cfg.grid)]
     _emit_table(cfg, out, ("orbit", "leg", "t", "x", "y"), rows)
     return EXIT_OK
 
@@ -276,23 +366,18 @@ def _run_sweep(cfg: RunConfig, p: SystemParams, out) -> int:
     rng = random.Random(cfg.seed)
     base = [p.aL11, p.aL12, p.aL21, p.aL22, p.aR11, p.aR12, p.aR21, p.aR22,
             p.bL1, p.bL2, p.bR1, p.bR2]
-    results = []
+    rows = []
     for idx in range(cfg.grid):
         vals = [v + rng.uniform(-half_width, half_width) for v in base]
         cls = classifier.classify(SystemParams(*vals), tol)
-        residuals = {r.name: r.value for r in cls.records
-                     if r.name in ("xi0", "xi-inf", "beta")}
-        results.append((idx, vals, cls, residuals))
+        res = {r.name: r.value for r in cls.records}
+        rows.append((idx, vals, cls.verdict.value, res["xi0"], res["xi-inf"], res["beta"]))
     if cfg.output_format == "json":
-        _emit_json(out, {"seed": cfg.seed, "half_width": half_width, "rows": [
-            {"index": idx, "params": vals, "verdict": cls.verdict.value,
-             "xi0": res["xi0"], "xi_inf": res["xi-inf"], "beta": res["beta"]}
-            for idx, vals, cls, res in results]})
+        _emit_table(cfg, out, ("index", "params", "verdict", "xi0", "xi_inf", "beta"), rows,
+                    head={"seed": cfg.seed, "half_width": half_width})
     else:
-        _emit_csv(out, ["index", "verdict", "xi0", "xi_inf", "beta"],
-                  [[idx, cls.verdict.value, repr(res["xi0"]),
-                    repr(res["xi-inf"]), repr(res["beta"])]
-                   for idx, vals, cls, res in results])
+        _emit_table(cfg, out, ("index", "verdict", "xi0", "xi_inf", "beta"),
+                    [(r[0], *r[2:]) for r in rows])
     return EXIT_OK
 
 

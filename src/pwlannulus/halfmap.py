@@ -147,13 +147,22 @@ class WPolynomial:
         return sorted([qq / c2, c0 / qq])
 
 
+def existence_clause(a: float, T: float, D: float) -> bool:
+    """Whether the half-map of the forward triple (a, T, D) exists: a > 0,
+    or a <= 0 and 4D - T^2 > 0.  A backward map's forward triple is
+    (-a, -T, D)."""
+    if a > 0.0:
+        return True
+    return a <= 0.0 and 4.0 * D - T * T > 0.0   # a NaN fails both
+
+
 def _q(a: float, T: float, D: float) -> float | None:
     """q of a forward triple; None exactly when the half-map does not exist."""
+    if not existence_clause(a, T, D):
+        return None
     if a > 0.0:
         return 0.0
     rad2 = 4.0 * D - T * T
-    if not rad2 > 0.0:
-        return None
     den = D * math.sqrt(rad2)  # subnormal or 0 only for tiny D (T = 0: D < 1e-205)
     val = (math.pi * T / den if den >= sys.float_info.min
            else math.pi * T / D / math.sqrt(rad2))
@@ -386,17 +395,25 @@ def _bracketed_newton(fd, lo, hi, flo, fhi, v):
     raise ConvergenceError("half-map root-finding failed to converge")
 
 
-def _doubling_ladder(fd, x: float, sign: float, message: str) -> tuple[float, float]:
-    """(x*2**k, f(x*2**k)) at the first k < MAX_ITER where sign*f > 0, else raise.
+def _doubling_ladder(fd, x: float, sign: float, steps: int, error,
+                     message: str) -> tuple[float, float]:
+    """(x*2**k, f(x*2**k)) at the first k < steps where sign*f > 0.
 
-    fd(x) returns (f(x), ...) as for _bracketed_newton.
+    fd(x) returns (f(x), ...) as for _bracketed_newton.  Raises
+    error(message) when there is none, and once x*2**k or the residual
+    there is no longer a finite double.
     """
-    for _ in range(MAX_ITER):
-        fx = fd(x)[0]
+    for _ in range(steps):
+        try:
+            fx = fd(x)[0]
+        except ValueError:   # W(x) so large that the log's argument rounds to 0
+            break
         if sign * fx > 0.0:
             return x, fx
         x *= 2.0
-    raise ConvergenceError(message)
+        if not (math.isfinite(fx) and math.isfinite(x)):
+            break
+    raise error(message)
 
 
 def _solve_lambda(h: HalfSystem) -> float:
@@ -406,7 +423,8 @@ def _solve_lambda(h: HalfSystem) -> float:
     def gd(lam):
         return _integral(h, 0.0, lam) - q, -w(lam)   # slope -lam/W(lam)
 
-    hi, ghi = _doubling_ladder(gd, 1.0, -1.0, "no upper bracket for the domain endpoint")
+    hi, ghi = _doubling_ladder(gd, 1.0, -1.0, MAX_ITER, ConvergenceError,
+                               "no upper bracket for the domain endpoint")
     return _bracketed_newton(gd, 0.0, hi, -q, ghi, 0.5 * hi)
 
 
@@ -452,7 +470,9 @@ def _lower_bracket(h: HalfSystem, fd, y0: float):
     the value.  When even the deepest computable rung leaves the residual
     negative, the map value is within that rung's offset of the root itself,
     which is the best double precision answer; it is returned directly (flo
-    None).
+    None).  Without a negative root the residual grows without bound as lo
+    goes down, so a doubling ladder from -max(1, |y0|) finds lo, or the
+    value lies beyond the double range.
     """
     rungs = h._rungs
     if rungs is not None:
@@ -470,8 +490,9 @@ def _lower_bracket(h: HalfSystem, fd, y0: float):
         if pinned is not None:
             return pinned, None
         raise ConvergenceError("map value is pinned against the W-root barrier")
-    return _doubling_ladder(fd, -max(1.0, abs(y0)), 1.0,
-                            "no lower bracket for the half-map value")
+    # a start with |x| >= 1 leaves the double range within max_exp doublings
+    return _doubling_ladder(fd, -max(1.0, abs(y0)), 1.0, sys.float_info.max_exp + 1,
+                            DomainError, "half-map value exceeds the double range")
 
 
 def evaluate(h: HalfSystem, y0: float) -> float:
@@ -519,16 +540,17 @@ def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:
     predicts the value; the step below y1p doubles from there until the
     residual turns positive, and Newton starts with the step from the
     predicted point.  The steps stay above the floor of evaluate's own lower
-    bracket: its first rung, below which evaluate decides by rungs alone,
-    or the last point of its doubling ladder, below which it raises.  The
-    result agrees with evaluate's to within the Newton stop, or where the
-    residual's rounding is wider than that, within its rounding.
+    bracket: its first rung, below which evaluate decides by rungs alone.
+    Without rungs evaluate's doubling ladder runs to the end of the double
+    range, and so do the steps.  The result agrees with evaluate's to within
+    the Newton stop, or where the residual's rounding is wider than that,
+    within its rounding.
 
     Falls back to evaluate where there is no warm start to give: no usable
     previous value (y0p <= lam or y1p >= 0), the closed forms a = 0 and
     T = 0, y0 within MU_GUARD of mu (evaluate warns and caps there), a step
-    that reaches the floor, and a residual that raises DomainError or is not
-    finite.
+    that reaches the floor, and a residual that raises DomainError, or
+    cannot be formed, or is not finite.
     """
     dom = domain(h)
     a, T, _ = h._triple
@@ -536,10 +558,7 @@ def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:
             or a == 0.0 or T == 0.0):
         return evaluate(h, y0)
     w, rungs = h._w, h._rungs
-    if rungs is None:
-        floor = math.ldexp(-max(1.0, y0), MAX_ITER - 1)
-    else:
-        floor = rungs[0] if rungs else 0.0   # no rung: evaluate raises
+    floor = -math.inf if rungs is None else rungs[0] if rungs else 0.0   # no rung: it raises
     den = y1p * w(y0p)
     step = y0p * w(y1p) / den * (y0 - y0p) if den != 0.0 else 0.0
     fd = _residual(h, y0)
@@ -563,7 +582,7 @@ def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:
             hi, fhi = x, fx
             step *= 2.0
             x = y1p + step
-    except DomainError:
+    except (DomainError, ValueError):   # ValueError: as in _doubling_ladder
         pass
     return evaluate(h, y0)
 

@@ -69,45 +69,59 @@ class CrossingEvent:
     transversal: bool
 
 
-def flow(z: ZoneFlow, x0: float, y0: float, t: float) -> tuple[float, float]:
-    """Exact state at time t (any sign) from (x0, y0)."""
+def _propagator(z: ZoneFlow, x0: float, y0: float):
+    """t -> the exact state at time t (any sign) from (x0, y0).
+
+    The zone equilibrium, the offsets from it, the spectral branch and its
+    frequency are formed once; a call does the branch's exponentials and
+    circular or hyperbolic functions at t and the two linear combinations.
+    """
     T, D, a, b = z.T, z.D, z.a, z.b
+    exp = math.exp
     if D != 0.0:
         px, py = a / D, b + a * T / D
         ux, uy = x0 - px, y0 - py
         sg = 0.5 * T
         disc = T * T - 4.0 * D
-        e = math.exp(sg * t)
+        vx, vy = (T - sg) * ux - uy, D * ux - sg * uy
         if disc < 0.0:
-            om = 0.5 * math.sqrt(-disc)
-            c, s = math.cos(om * t), math.sin(om * t) / om
+            om, cf, sf = 0.5 * math.sqrt(-disc), math.cos, math.sin
         elif disc > 0.0:
-            m = 0.5 * math.sqrt(disc)
-            c, s = math.cosh(m * t), math.sinh(m * t) / m
+            om, cf, sf = 0.5 * math.sqrt(disc), math.cosh, math.sinh
         else:
-            c, s = 1.0, t
-        nx = e * (c * ux + s * ((T - sg) * ux - uy))
-        ny = e * (c * uy + s * (D * ux - sg * uy))
-        return px + nx, py + ny
-    y = y0 - a * t
+            def at(t):  # the double root: c = 1, s = t
+                e = exp(sg * t)
+                return px + e * (ux + t * vx), py + e * (uy + t * vy)
+            return at
+
+        def at(t):
+            e = exp(sg * t)
+            c, s = cf(om * t), sf(om * t) / om
+            return px + e * (c * ux + s * vx), py + e * (c * uy + s * vy)
+        return at
+    # D = 0: no equilibrium; y(t) = y0 - a*t drives x
     if T != 0.0:
         al = -a / T
         ga = (al + y0 - b) / T
-        return al * t + ga + math.exp(T * t) * (x0 - ga), y
-    return x0 + (b - y0) * t + 0.5 * a * t * t, y
+        dx = x0 - ga
+        return lambda t: (al * t + ga + exp(T * t) * dx, y0 - a * t)
+    v, ha = b - y0, 0.5 * a
+    return lambda t: (x0 + v * t + ha * t * t, y0 - a * t)
+
+
+def flow(z: ZoneFlow, x0: float, y0: float, t: float) -> tuple[float, float]:
+    """Exact state at time t (any sign) from (x0, y0)."""
+    return _propagator(z, x0, y0)(t)
 
 
 def sample_trajectory(z: ZoneFlow, x0: float, y0: float, duration: float,
                       n: int) -> list[tuple[float, float, float]]:
-    """(t, x, y) samples at n equally spaced times in [0, duration]."""
+    """(t, x, y) samples at n equally spaced times in [0, duration]; each is
+    (t, *flow(z, x0, y0, t)) bit for bit."""
     if n < 2:
         raise PreconditionError("need at least two samples")
-    out = []
-    for i in range(n):
-        t = duration * i / (n - 1)
-        x, y = flow(z, x0, y0, t)
-        out.append((t, x, y))
-    return out
+    at = _propagator(z, x0, y0)
+    return [(t, *at(t)) for t in [duration * i / (n - 1) for i in range(n)]]
 
 
 def _refine(xf, dxf, lo, hi, vlo, vhi, tol):

@@ -91,10 +91,16 @@ def mp_residual(h, y0):
 
 
 def mp_map_value(h, y0, guess):
-    """The map value at y0 to 40 digits: mpmath.findroot on the closed forms."""
+    """The map value at y0 to 40 digits: mpmath.findroot on the closed forms.
+
+    The secant starts at guess and guess + max(1/4, |guess|/2**20): mpmath's
+    own second point, guess + 1/4, is guess itself at 40 digits once |guess|
+    passes about 1e39.
+    """
     R = mp_residual(h, y0)
     with mpmath.workdps(40):
-        return mpmath.findroot(R, mpmath.mpf(guess))
+        g = mpmath.mpf(guess)
+        return mpmath.findroot(R, (g, g + max(mpmath.mpf(0.25), abs(g) / 2 ** 20)))
 
 
 def count_residual_calls(monkeypatch):

@@ -1,14 +1,16 @@
 """Verdict logic: existence clauses, trivial centers, sliding set, full decision."""
 
 
+import math
+
 import pytest
 
-from pwlannulus import (CanonicalizationError, PreconditionError,
+from pwlannulus import (CanonicalizationError, HalfSystem, Orientation, PreconditionError,
                         SystemParams, Verdict, annulus_family, check_H, classify,
                         derive_invariants, from_canonical,
                         make_context, sliding_set, to_canonical, trivial_centers,
                         verify_periodic)
-from pwlannulus import displacement
+from pwlannulus import displacement, exists
 from conftest import VIOLATIONS, draw_annulus_params, draw_violating_params
 
 ANNULUS_CLAUSES = {"H-crossing", "H-left", "H-right", "trace-balance",
@@ -39,6 +41,31 @@ def test_check_H_left_existence_fails():
     p = from_canonical(-1.0, 3.0, 2.0, 1.0, -1.0, 1.0)
     ok, records = check_H(derive_invariants(p))
     assert not ok
+    assert [r.name for r in records if not r.passed] == ["H-left"]
+
+
+def test_check_H_zone_clauses_are_the_half_maps_existence(rng):
+    # a, T, D with both zero signs, 4D = T^2 exactly, and draws around them
+    picks = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0]
+    for _ in range(400):
+        aL, TL, aR, TR = (rng.choice(picks + [rng.uniform(-2, 2)]) for _ in range(4))
+        DL, DR = (rng.choice([0.25 * T * T, 0.0, rng.uniform(-1, 2)]) for T in (TL, TR))
+        d = derive_invariants(from_canonical(aL, TL, DL, aR, TR, DR))
+        _, records = check_H(d)
+        left, right = records[1], records[2]
+        assert left.passed == exists(HalfSystem(d.aL, d.TL, d.DL))
+        assert right.passed == exists(HalfSystem(d.aR, d.TR, d.DR, Orientation.BACKWARD))
+        assert left.value == (d.aL if d.aL > 0.0 else 4.0 * d.DL - d.TL * d.TL)
+        assert right.value == (d.aR if d.aR < 0.0 else 4.0 * d.DR - d.TR * d.TR)
+
+
+def test_check_H_fails_a_zone_whose_a_is_not_a_number():
+    # aL = 10*1e308 - 10*1e308 = inf - inf, with TL = 0 and DL = 10
+    p = SystemParams.from_matrices([-10.0, 10.0, -11.0, 10.0], [1e308, 1e308],
+                                   [0.0, 1.0, -1.0, 0.0], [0.0, 0.0])
+    d = derive_invariants(p)
+    assert math.isnan(d.aL) and 4.0 * d.DL - d.TL * d.TL > 0.0
+    _, records = check_H(d)
     assert [r.name for r in records if not r.passed] == ["H-left"]
 
 

@@ -1,9 +1,13 @@
 """Command-line interface: schemas, exit codes, determinism, env overrides."""
 
+import csv
 import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pwlannulus import (DomainError, HalfSystem, Orientation, cli, from_canonical,
                         halfmap, make_context, to_canonical)
@@ -358,3 +362,46 @@ def test_classify_tolerance_override(tmp_path):
     code, text = run_cli(["--input", path, "--cmd", "classify",
                           "--tol", "classify=1e-6"])
     assert json.loads(text)["verdict"] == "crossing-period-annulus"
+
+
+# -- the table emitter ---------------------------------------------------------
+
+_TEXT = st.text(st.sampled_from(["a", "Z", " ", "%", "s", ",", '"', "\\", "\n", "\r",
+                                 "\t", "\x00", "\x1f", "\u00e9", "\u20ac", "\U0001f600"]),
+                max_size=5)
+_SCALAR = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]),
+    st.none(), st.integers(), st.booleans(), _TEXT)
+_CELL = st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3),
+                  st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                           max_size=3),
+                  st.lists(st.integers(), min_size=1, max_size=3))
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(0, 4))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width, unique=True))
+    rows = draw(st.lists(st.tuples(*[_CELL] * width), max_size=5))
+    keys = _TEXT.filter(lambda k: k != "rows")
+    head = draw(st.dictionaries(keys, _CELL, max_size=2))
+    tail = draw(st.dictionaries(keys.filter(lambda k: k not in head), _CELL, max_size=2))
+    return header, rows, head, tail
+
+
+@given(_tables())
+@example(((), [(), ()], {}, {}))
+@example((("v",), [("left",), ("",)], {}, {}))   # a lone empty field is written ""
+@example((("leg", "t"), [("left", 0.5), ('a,"b"\n', 1.0)], {}, {}))   # csv quoting
+@example((("orbit", "leg", "t"), [(0, "left", 0.5), (1, "right", math.nan)],
+          {"domain": {"lam": 0.0, "mu": None}}, {"zeros": []}))
+@settings(max_examples=200)
+def test_table_emitter_writes_the_bytes_of_json_dumps_and_csv_writer(table):
+    header, rows, head, tail = table
+    payload = {**head, "rows": [dict(zip(header, r)) for r in rows], **tail}
+    assert cli._json_table(header, rows, head, tail) == json.dumps(payload, indent=2) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert cli._csv_table(header, rows) == out.getvalue()

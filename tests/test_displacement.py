@@ -332,6 +332,10 @@ def _warm_contexts():
                HalfSystem(-rng.uniform(0.2, 3.0), 0.0, rng.uniform(0.1, 2.0), BWD))
               for _ in range(2)]
     draws.append((HalfSystem(0.25, -2.5, 0.125), HalfSystem(-0.25, 2.5, 0.125, BWD)))
+    # lam = 0.6 on the left and W's double root at mu ~ 0.606 on the right:
+    # the right values leave the double range well below mu
+    draws.append((HalfSystem(-0.1706130873922471, -0.5, 1.0),
+                  HalfSystem(-0.6378042305833218, -2.105146793757328, 1.1079107558166894, BWD)))
     contexts = [ctx_of(left, right, 0.0 if i % 2 == 0 else rng.uniform(-0.5, 0.5))
                 for i, (left, right) in enumerate(draws)]
     return [ctx for ctx in contexts if not ctx.is_empty]

@@ -565,6 +565,31 @@ def test_formerly_stalled_solves_are_within_8_ulp_of_a_40_digit_reference():
             assert abs(got - (F(y0) - F(ref))) <= mpmath.mpf(10) ** -30
 
 
+def test_a_map_value_past_the_former_end_of_the_doubling_ladder():
+    # a double-root map near mu: the value is about -2.48e80, beyond
+    # -max(1, y0)*2**199 = -8e59, where the ladder used to stop with
+    # ConvergenceError("no lower bracket for the half-map value")
+    h = HalfSystem(-0.6378042305833218, -2.105146793757328, 1.1079107558166894, BWD)
+    y0 = 0.6027728166455482
+    y1 = evaluate(h, y0)
+    ref = mp_map_value(h, y0, y1)
+    # bisection on the 40-digit residual gives -2.4808435872789561879e80
+    with mpmath.workdps(40):
+        assert mpmath.almosteq(ref, mpmath.mpf("-2.4808435872789561879e80"),
+                               rel_eps=mpmath.mpf(10) ** -18)
+    # W's double root sits at mu, so y0's terms in the residual are about 1e6
+    # and their rounding moves the value by about 1.5e-10 relative
+    assert abs(y1 - ref) <= 1e-9 * abs(ref)
+    # a warm scan row steps down as far as the cold ladder climbs
+    y0p = 0.6027
+    assert halfmap._evaluate_after(h, y0, y0p, evaluate(h, y0p)) == pytest.approx(y1, rel=1e-9)
+    # closer to mu the value leaves the double range: a typed refusal
+    with pytest.raises(DomainError, match="half-map value exceeds the double range"):
+        evaluate(h, 0.605)
+    with pytest.raises(DomainError, match="half-map value exceeds the double range"):
+        halfmap._evaluate_after(h, 0.605, 0.604, evaluate(h, 0.604))
+
+
 def test_zero_trace_positive_determinant_is_spared_the_discriminant_guard():
     # T = 0 < D: W = a^2 + D*y^2 > 0 has no root whatever its discriminant
     # rounds to, so mu = inf and the map is the reflection

@@ -1,6 +1,7 @@
 """Exact-flow oracle: closed-form flow, crossing search, orbit closure."""
 
 import math
+import struct
 
 import pytest
 
@@ -90,6 +91,80 @@ def test_sample_trajectory_shape():
     assert len(pts) == 16
     assert pts[0] == (0.0, 0.0, 1.0)
     assert pts[-1][0] == 1.5
+
+
+def _flow_per_call(z, x0, y0, t):
+    """The closed-form flow with every constant formed at the call, as one
+    flow call evaluated it before the per-trajectory propagator."""
+    T, D, a, b = z.T, z.D, z.a, z.b
+    if D != 0.0:
+        px, py = a / D, b + a * T / D
+        ux, uy = x0 - px, y0 - py
+        sg = 0.5 * T
+        disc = T * T - 4.0 * D
+        e = math.exp(sg * t)
+        if disc < 0.0:
+            om = 0.5 * math.sqrt(-disc)
+            c, s = math.cos(om * t), math.sin(om * t) / om
+        elif disc > 0.0:
+            m = 0.5 * math.sqrt(disc)
+            c, s = math.cosh(m * t), math.sinh(m * t) / m
+        else:
+            c, s = 1.0, t
+        nx = e * (c * ux + s * ((T - sg) * ux - uy))
+        ny = e * (c * uy + s * (D * ux - sg * uy))
+        return px + nx, py + ny
+    y = y0 - a * t
+    if T != 0.0:
+        al = -a / T
+        ga = (al + y0 - b) / T
+        return al * t + ga + math.exp(T * t) * (x0 - ga), y
+    return x0 + (b - y0) * t + 0.5 * a * t * t, y
+
+
+def _bitwise(samples):
+    """The samples' bits, or the class of what producing them raised."""
+    try:
+        return [struct.pack("<3d", *s) for s in samples()]
+    except Exception as exc:  # compared by class below
+        return type(exc)
+
+
+def _zones(rng):
+    """Zones of every flow branch, b = 0 and b != 0."""
+    for _ in range(12):
+        a, b = rng.uniform(-2, 2), rng.choice([0.0, rng.uniform(-1, 1)])
+        T = rng.uniform(-2, 2)
+        s = rng.randint(1, 16) / 8.0
+        yield ZoneFlow(T=T, D=0.25 * T * T + rng.uniform(0.1, 2), a=a, b=b)  # complex
+        yield ZoneFlow(T=T, D=0.25 * T * T - rng.uniform(0.1, 2), a=a, b=b)  # real
+        yield ZoneFlow(T=2.0 * s, D=s * s, a=a, b=b)                         # double
+        yield ZoneFlow(T=T, D=0.0, a=a, b=b)                                 # D = 0
+        yield ZoneFlow(T=0.0, D=0.0, a=a, b=b)                               # D = T = 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_sample_trajectory_is_flow_bitwise(rng, n):
+    for z in _zones(rng):
+        x0, y0 = rng.choice([0.0, rng.uniform(-2, 2)]), rng.uniform(-2, 2)
+        for duration in (rng.uniform(0.1, 6), -rng.uniform(0.1, 6)):  # backward legs too
+            times = [duration * i / (n - 1) for i in range(n)]
+            got = _bitwise(lambda: sample_trajectory(z, x0, y0, duration, n))
+            assert got == _bitwise(lambda: [(t, *_flow_per_call(z, x0, y0, t)) for t in times])
+            assert got == _bitwise(lambda: [(t, *flow(z, x0, y0, t)) for t in times])
+
+
+@pytest.mark.parametrize("z, duration, raised", [
+    (ZoneFlow(T=2000.0, D=1.0, a=1.0), 1.0, OverflowError),             # exp, real
+    (ZoneFlow(T=0.0, D=-1e6, a=1.0), 1.0, OverflowError),               # cosh
+    (ZoneFlow(T=1e-3, D=1.0, a=1.0, b=0.5), math.inf, ValueError),      # cos(inf)
+    (ZoneFlow(T=900.0, D=0.0, a=1.0), 1.0, OverflowError),              # exp, D = 0
+])
+def test_sample_trajectory_raises_where_flow_raises(z, duration, raised):
+    times = [duration * i / 3 for i in range(4)]
+    assert _bitwise(lambda: [(t, *_flow_per_call(z, 0.0, 1.0, t)) for t in times]) is raised
+    assert _bitwise(lambda: [(t, *flow(z, 0.0, 1.0, t)) for t in times]) is raised
+    assert _bitwise(lambda: sample_trajectory(z, 0.0, 1.0, duration, 4)) is raised
 
 
 # -- crossing search ------------------------------------------------------------

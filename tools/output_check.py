@@ -28,7 +28,8 @@ holds this file) and writes one JSON object per line, in a fixed order:
 
 Record the parent and the change and diff the two files: identical files
 mean identical outputs, and for the map points identical solver paths.
---diff prints, per kind, how many records differ and the largest change
+--diff prints, per kind, how many records differ (for the cli records also
+per --cmd and per --format) and the largest change
 between the floats that the two records print in the same positions, in
 units in the last place and as |x - y| / max(1, |x|), and the same two
 figures for each record that differs only in floats; a count field
@@ -380,6 +381,18 @@ def _float_change(a: str, b: str) -> tuple[int, float] | None:
             max((_scaled(x, y) for x, y in pairs), default=0.0))
 
 
+def _per_flag(flag: str, keys, differing) -> str:
+    """'value d of n, ...': per value of a cli key's flag, how many of its n
+    records differ."""
+    counts = {}
+    for key in keys:
+        words = key[1].split()
+        n = counts.setdefault(words[words.index(flag) + 1], [0, 0])
+        n[0] += 1
+        n[1] += key in differing
+    return ", ".join(f"{value} {d} of {n}" for value, (n, d) in counts.items())
+
+
 def diff(path_a: str, path_b: str) -> int:
     """Print, per kind and field, the records that differ; 1 when any does."""
     def load(path):
@@ -422,6 +435,10 @@ def diff(path_a: str, path_b: str) -> int:
             lines.append(f"  {key[1]}: {', '.join(names)}")
         changed += len(lines) + len(unmatched)
         print(f"{kind}: {len(keys)} records, {len(lines)} differ, {len(unmatched)} unmatched")
+        if kind == "cli":
+            differing = {k for k in keys if k in unmatched or a[k] != b[k]}
+            for flag in ("--cmd", "--format"):
+                print(f"  per {flag}: {_per_flag(flag, keys, differing)}")
         for f, (n, floats, worst, scaled) in sorted(fields.items()):
             if f in totals:
                 print(f"  {f}: {n} differ, {totals[f][0]} -> {totals[f][1]} in all")
