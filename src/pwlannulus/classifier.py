@@ -65,6 +65,11 @@ def _sign_with_tol(x: float, tol: float) -> int:
     return 1 if x > 0.0 else -1
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:  # also refuses NaN
+        raise PreconditionError("tol must be finite and positive")
+
+
 def _scale(*terms: float) -> float:
     return max(1.0, *(abs(t) for t in terms))
 
@@ -98,6 +103,7 @@ def _centers(d: DerivedQuantities, tol: float) -> tuple[bool, bool]:
 
 def trivial_centers(d: DerivedQuantities, tol: float = DEFAULT_TOL) -> Verdict | None:
     """One-zone linear-center verdicts; the left takes precedence when both hold."""
+    _check_tol(tol)
     center_left, center_right = _centers(d, tol)
     if center_left:
         return Verdict.LINEAR_CENTER_LEFT
@@ -112,6 +118,7 @@ def sliding_set(p: SystemParams, tol: float = DEFAULT_TOL) -> tuple[float, float
     Requires aL12 * aR12 > 0.  The interval is open, delimited by the
     ordinates -bL1/aL12 and -bR1/aR12 (returned sorted).
     """
+    _check_tol(tol)
     if p.aL12 * p.aR12 <= 0.0:
         raise PreconditionError("sliding_set requires aL12 * aR12 > 0")
     beta = p.aL12 * p.bR1 - p.bL1 * p.aR12
@@ -124,8 +131,7 @@ def sliding_set(p: SystemParams, tol: float = DEFAULT_TOL) -> tuple[float, float
 
 def classify(p: SystemParams, tol: float = DEFAULT_TOL) -> Classification:
     """Full verdict with clause records and the sliding interval when present."""
-    if tol <= 0.0:
-        raise PreconditionError("tol must be positive")
+    _check_tol(tol)
     d = derive_invariants(p)
     records: list[ConditionRecord] = []
 

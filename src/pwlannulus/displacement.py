@@ -269,6 +269,8 @@ def orbits_from_scan(ctx: DisplacementContext, record: ScanRecord, *,
     is a fold orbit, not a crossing orbit, and its delta is only the noise
     of the two separate endpoint solves.
     """
+    if not 0.0 < annulus_tol < math.inf:  # also refuses NaN
+        raise PreconditionError("annulus_tol must be finite and positive")
     rows = record.rows[1:] if ctx.lam > 0.0 else record.rows
     if all(abs(r.delta) < annulus_tol * max(1.0, abs(r.y0), abs(r.yL)) for r in rows):
         lo, hi = record.lo, record.hi

@@ -4,16 +4,18 @@ Each zone of the canonical system is the linear field
 
     x' = T*x - y + b,      y' = D*x - a
 
-(b = 0 for the left zone).  The flow is evaluated in closed form from the
-spectral decomposition around the zone equilibrium, with D = 0 handled as a
-separate affine-drift branch, so the only numerical step anywhere is scalar
-root-finding on the explicit function x(t).  That keeps this module
+(b = 0 for the left zone).  The flow is evaluated in one closed form, formed
+once per orbit: the spectral decomposition around the zone equilibrium, with
+D = 0 handled as an affine drift, so the only numerical step anywhere is
+scalar root-finding on the explicit function x(t).  That keeps this module
 independent of, and more trustworthy than, the half-map solver it checks.
 
-Crossing search decomposes x(t) into monotone segments between the explicit
-critical times of x'(t): a trigonometric lattice in the complex-pair case, at
-most one critical time otherwise.  The first segment boundary whose value has
-left the zone's side brackets the first return to the switching line, which a
+Crossing search reads x(t) and y(t) from that closed form and x'(t) from the
+field at the same state.  It decomposes x(t) into monotone segments between
+the critical times of x'(t), which the same constants give explicitly: a
+trigonometric lattice in the complex-pair case, at most one critical time
+otherwise.  The first segment boundary whose value has left the zone's side
+brackets the first return to the switching line, which a
 bisection-safeguarded Newton then refines.
 """
 
@@ -69,49 +71,138 @@ class CrossingEvent:
     transversal: bool
 
 
-def _propagator(z: ZoneFlow, x0: float, y0: float):
-    """t -> the exact state at time t (any sign) from (x0, y0).
+class _Orbit:
+    """The orbit of one zone through (x0, y0), in closed form.
 
-    The zone equilibrium, the offsets from it, the spectral branch and its
-    frequency are formed once; a call does the branch's exponentials and
-    circular or hyperbolic functions at t and the two linear combinations.
+    at(t) is the exact state at time t (any sign).  For D != 0 it is the
+    equilibrium plus e^(sg*t)*(c(t)*u + s(t)*v), where c'' = kappa*c and
+    s'' = kappa*s with c(0) = s'(0) = 1, c'(0) = s(0) = 0 and
+    kappa = T^2/4 - D: cos and sin/om for a complex pair, cosh and sinh/om
+    for real roots, 1 and t for the double root.  So
+    x'(t) = e^(sg*t)*(P*c(t) + Q*s(t)) with P = x'(0) and Q = x''(0) - sg*P,
+    both read off the field.  For D = 0 there is no equilibrium and
+    y(t) = y0 - a*t drives x.
+
+    Every form but the complex pair also lists x(t) as rest plus `terms`,
+    triples (k, rate, power) of k*t^power*e^(rate*t).
     """
-    T, D, a, b = z.T, z.D, z.a, z.b
-    exp = math.exp
-    if D != 0.0:
-        px, py = a / D, b + a * T / D
-        ux, uy = x0 - px, y0 - py
-        sg = 0.5 * T
-        disc = T * T - 4.0 * D
-        vx, vy = (T - sg) * ux - uy, D * ux - sg * uy
-        if disc < 0.0:
-            om, cf, sf = 0.5 * math.sqrt(-disc), math.cos, math.sin
-        elif disc > 0.0:
-            om, cf, sf = 0.5 * math.sqrt(disc), math.cosh, math.sinh
-        else:
-            def at(t):  # the double root: c = 1, s = t
-                e = exp(sg * t)
-                return px + e * (ux + t * vx), py + e * (uy + t * vy)
-            return at
 
-        def at(t):
-            e = exp(sg * t)
-            c, s = cf(om * t), sf(om * t) / om
-            return px + e * (c * ux + s * vx), py + e * (c * uy + s * vy)
-        return at
-    # D = 0: no equilibrium; y(t) = y0 - a*t drives x
-    if T != 0.0:
-        al = -a / T
-        ga = (al + y0 - b) / T
-        dx = x0 - ga
-        return lambda t: (al * t + ga + exp(T * t) * dx, y0 - a * t)
-    v, ha = b - y0, 0.5 * a
-    return lambda t: (x0 + v * t + ha * t * t, y0 - a * t)
+    def __init__(self, z: ZoneFlow, x0: float, y0: float):
+        T, D, a, b = z.T, z.D, z.a, z.b
+        exp = math.exp
+        self.T, self.a = T, a
+        self.P = P = T * x0 - y0 + b
+        self.px = 0.0
+        self.terms = None
+        if D != 0.0:
+            px, py = a / D, b + a * T / D
+            ux, uy = x0 - px, y0 - py
+            sg = 0.5 * T
+            disc = T * T - 4.0 * D
+            vx, vy = (T - sg) * ux - uy, D * ux - sg * uy
+            self.px = self.rest = px
+            self.sg, self.Q = sg, sg * P - D * x0 + a
+            if disc < 0.0:
+                om, cf, sf = 0.5 * math.sqrt(-disc), math.cos, math.sin
+                self.kind, self.env = "complex", math.hypot(ux, vx / om)
+            elif disc > 0.0:
+                om, cf, sf = 0.5 * math.sqrt(disc), math.cosh, math.sinh
+                self.kind = "real"
+                self.terms = ((0.5 * (ux + vx / om), sg + om, 0),
+                              (0.5 * (ux - vx / om), sg - om, 0))
+            else:
+                self.kind, self.terms = "double", ((ux, sg, 0), (vx, sg, 1))
+
+                def at(t):  # c = 1, s = t
+                    e = exp(sg * t)
+                    return px + e * (ux + t * vx), py + e * (uy + t * vy)
+                self.at = at
+                return
+            self.om = om
+
+            def at(t):
+                e = exp(sg * t)
+                c, s = cf(om * t), sf(om * t) / om
+                return px + e * (c * ux + s * vx), py + e * (c * uy + s * vy)
+            self.at = at
+            return
+        if T != 0.0:
+            al = -a / T
+            ga = (al + y0 - b) / T
+            dx = x0 - ga
+            self.kind, self.al, self.rest = "drift", al, ga
+            self.terms = ((al, 0.0, 1), (dx, T, 0))
+            self.at = lambda t: (al * t + ga + exp(T * t) * dx, y0 - a * t)
+            return
+        v, ha = b - y0, 0.5 * a
+        self.kind, self.rest = "parabola", x0
+        self.terms = ((v, 0.0, 1), (ha, 0.0, 2))
+        self.at = lambda t: (x0 + v * t + ha * t * t, y0 - a * t)
+
+    def _turn(self):
+        """The one time t (any sign) with x'(t) = 0, or None; not for a complex pair."""
+        P, kind = self.P, self.kind
+        if kind == "real":  # tanh(om*t) = -om*P/Q
+            r = -self.om * P / self.Q if self.Q != 0.0 else 1.0
+            return math.atanh(r) / self.om if abs(r) < 1.0 else None
+        if kind == "double":  # P + Q*t = 0
+            return -P / self.Q if self.Q != 0.0 else None
+        if kind == "drift":  # x' = al + (P - al)*e^(T*t)
+            arg = self.al / (self.al - P) if self.al != P else 0.0
+            return math.log(arg) / self.T if arg > 0.0 else None
+        return -P / self.a if self.a != 0.0 else None  # x' = P + a*t
+
+    def critical_times(self, tau: float):
+        """Ascending s > 0 with x'(tau*s) = 0.
+
+        P is exact at a tangential start, so s = 0 itself is never yielded;
+        the complex lattice skips rounding dust around it.
+        """
+        if self.kind != "complex":
+            t = self._turn()
+            if t is not None and tau * t > 0.0:
+                yield tau * t
+            return
+        om = self.om
+        A, B = tau * self.P, self.Q / om  # tau*x'(tau*s) ~ A*cos(om*s) + B*sin(om*s)
+        if A == 0.0 and B == 0.0:
+            return
+        period = math.pi / om
+        floor = 1e-14 * period
+        base = (math.atan2(B, A) + 0.5 * math.pi) / om
+        s = base + math.ceil((floor - base) / period) * period
+        while s <= floor:
+            s += period
+        while True:
+            yield s
+            s += period
+
+    def tail_limit(self, tau: float):
+        """Limit of x(tau*s) as s -> +inf (may be +-inf); None for oscillation.
+
+        The live term of largest (rate, power) decides: a growing one sends
+        x to infinity with its sign, else x tends to the constant rest.
+        """
+        if self.terms is None:
+            return None
+        rate, power, k = max(((tau * r, p, k * tau ** p) for k, r, p in self.terms
+                              if k != 0.0), default=(0.0, 0, 0.0))
+        if rate > 0.0 or (rate == 0.0 and power > 0):
+            return math.copysign(math.inf, k)
+        return self.rest
+
+    def trapped(self, s: float, tau: float, inside: int) -> bool:
+        """Complex pair: the envelope at s is too small to reach the switching line again."""
+        if self.kind != "complex" or tau * self.sg > 0.0:
+            return False
+        if self.px == 0.0 or (self.px > 0.0) != (inside > 0):
+            return False
+        return self.env * math.exp(tau * self.sg * s) < abs(self.px) * (1.0 - 1e-15)
 
 
 def flow(z: ZoneFlow, x0: float, y0: float, t: float) -> tuple[float, float]:
     """Exact state at time t (any sign) from (x0, y0)."""
-    return _propagator(z, x0, y0)(t)
+    return _Orbit(z, x0, y0).at(t)
 
 
 def sample_trajectory(z: ZoneFlow, x0: float, y0: float, duration: float,
@@ -120,12 +211,13 @@ def sample_trajectory(z: ZoneFlow, x0: float, y0: float, duration: float,
     (t, *flow(z, x0, y0, t)) bit for bit."""
     if n < 2:
         raise PreconditionError("need at least two samples")
-    at = _propagator(z, x0, y0)
+    at = _Orbit(z, x0, y0).at
     return [(t, *at(t)) for t in [duration * i / (n - 1) for i in range(n)]]
 
 
-def _refine(xf, dxf, lo, hi, vlo, vhi, tol):
-    """Root of xf on a sign-change bracket, bisection plus Newton."""
+def _refine(probe, lo, hi, vlo, vhi, tol):
+    """Root of x on a sign-change bracket, bisection plus Newton; probe(s)
+    starts with (x, x') at s."""
     if vlo == 0.0:
         return lo
     if vhi == 0.0:
@@ -133,7 +225,7 @@ def _refine(xf, dxf, lo, hi, vlo, vhi, tol):
     pos_at_lo = vlo > 0.0
     s = 0.5 * (lo + hi)
     for _ in range(200):
-        v = xf(s)
+        v, d = probe(s)[:2]
         if v == 0.0:
             return s
         if (v > 0.0) == pos_at_lo:
@@ -142,177 +234,15 @@ def _refine(xf, dxf, lo, hi, vlo, vhi, tol):
             hi = s
         if hi - lo <= 1e-15 * max(1.0, abs(s)):
             return s
-        d = dxf(s)
         cand = s - v / d if d != 0.0 else 0.5 * (lo + hi)
+        if cand == s and abs(v) <= tol:  # the Newton step rounds away: s is the root
+            return s
         if not (lo < cand < hi) or not math.isfinite(cand):
             cand = 0.5 * (lo + hi)
         if abs(v) <= tol and abs(cand - s) <= 1e-15 * max(1.0, abs(s)):
             return cand
         s = cand
     raise ConvergenceError("crossing refinement failed to converge")
-
-
-class _Profile:
-    """Scalar closed form phi(s) = x(tau*s) with segment structure."""
-
-    def __init__(self, z: ZoneFlow, y0: float, tau: float):
-        T, D, a, b = z.T, z.D, z.a, z.b
-        self.tau = tau
-        v0 = b - y0          # x'(0) of the field
-        self.p0 = tau * v0   # phi'(0)
-        self.kind = "generic"
-        if D != 0.0:
-            px = a / D
-            if math.isinf(px):
-                raise DomainError("zone equilibrium a/D exceeds the double range")
-            self.px = px
-            ux0 = -px
-            disc = T * T - 4.0 * D
-            sg = 0.5 * T
-            if disc < 0.0:
-                om = 0.5 * math.sqrt(-disc)
-                Sg = tau * sg
-                C = ux0
-                S = tau * (v0 - sg * ux0) / om
-                A = Sg * C + om * S
-                B = Sg * S - om * C
-                self.kind = "complex"
-                self.om, self.Sg, self.C, self.S, self.A, self.B = om, Sg, C, S, A, B
-                self.env0 = math.hypot(C, S)
-                self.xf = lambda s: px + math.exp(Sg * s) * (
-                    C * math.cos(om * s) + S * math.sin(om * s))
-                self.dxf = lambda s: math.exp(Sg * s) * (
-                    A * math.cos(om * s) + B * math.sin(om * s))
-                return
-            if disc > 0.0:
-                m = 0.5 * math.sqrt(disc)
-                l1, l2 = sg + m, sg - m
-                k1 = (v0 - l2 * ux0) / (l1 - l2)
-                k2 = ux0 - k1
-                L1, L2 = tau * l1, tau * l2
-                self.kind = "exp2"
-                self.terms = [(k1, L1), (k2, L2)]
-                self.xf = lambda s: px + k1 * math.exp(L1 * s) + k2 * math.exp(L2 * s)
-                self.dxf = lambda s: k1 * L1 * math.exp(L1 * s) + k2 * L2 * math.exp(L2 * s)
-                return
-            Sg = tau * sg
-            C0 = ux0
-            C1 = tau * (v0 - sg * ux0)
-            self.kind = "double"
-            self.Sg, self.C0, self.C1 = Sg, C0, C1
-            self.xf = lambda s: px + math.exp(Sg * s) * (C0 + C1 * s)
-            self.dxf = lambda s: math.exp(Sg * s) * (Sg * C0 + C1 + Sg * C1 * s)
-            return
-        # D == 0: no equilibrium; x decouples after y(t) = y0 - a*t.
-        self.px = 0.0
-        if T != 0.0:
-            al = -a / T
-            ga = (al + y0 - b) / T
-            A1 = tau * al
-            Sg = tau * T
-            C = -ga
-            self.kind = "affine"
-            self.A1, self.Sg, self.C, self.ga = A1, Sg, C, ga
-            self.xf = lambda s: A1 * s + ga + C * math.exp(Sg * s)
-            self.dxf = lambda s: A1 + Sg * C * math.exp(Sg * s)
-            return
-        v = tau * (b - y0)
-        self.kind = "parabola"
-        self.v, self.acc = v, a
-        self.xf = lambda s: (0.5 * a * s + v) * s
-        self.dxf = lambda s: a * s + v
-
-    # -- segment structure -------------------------------------------------
-    def critical_times(self):
-        """Ascending positive roots of phi'.
-
-        A tangential start makes s = 0 itself critical; floating dust around
-        it is filtered with a branch-appropriate floor so the lattice starts
-        at the first genuine interior critical time.
-        """
-        tangential = self.p0 == 0.0
-        if self.kind == "complex":
-            om = self.om
-            if self.A == 0.0 and self.B == 0.0:
-                return
-            psi = math.atan2(self.B, self.A)
-            period = math.pi / om
-            floor = (1e-9 if tangential else 1e-14) * period
-            base = (psi + 0.5 * math.pi) / om
-            k = math.ceil((floor - base) / period)
-            s = base + k * period
-            while s <= floor:
-                s += period
-            while True:
-                yield s
-                s += period
-        elif self.kind == "exp2":
-            (k1, L1), (k2, L2) = self.terms
-            p, q = k1 * L1, k2 * L2
-            if p != 0.0 and q != 0.0 and (p > 0.0) != (q > 0.0) and L1 != L2:
-                sc = math.log(-q / p) / (L1 - L2)
-                floor = 1e-9 / abs(L1 - L2) if tangential else 0.0
-                if sc > floor:
-                    yield sc
-        elif self.kind == "double":
-            # tangential starts cancel exactly here, no dust floor needed
-            if self.Sg * self.C1 != 0.0:
-                sc = -(self.Sg * self.C0 + self.C1) / (self.Sg * self.C1)
-                if sc > 0.0:
-                    yield sc
-        elif self.kind == "affine":
-            if self.Sg * self.C != 0.0:
-                arg = -self.A1 / (self.Sg * self.C)
-                if arg > 0.0:
-                    sc = math.log(arg) / self.Sg
-                    floor = 1e-9 / abs(self.Sg) if tangential else 0.0
-                    if sc > floor:
-                        yield sc
-        else:  # parabola: exact arithmetic, no dust
-            if self.acc != 0.0:
-                sc = -self.v / self.acc
-                if sc > 0.0:
-                    yield sc
-
-    def tail_limit(self) -> float:
-        """Limit of phi(s) as s -> +inf (may be +-inf); None for oscillation."""
-        if self.kind == "complex":
-            return None
-        if self.kind == "exp2":
-            live = [(k, L) for k, L in self.terms if k != 0.0]
-            grow = [(k, L) for k, L in live if L > 0.0]
-            if grow:
-                k, _ = max(grow, key=lambda t: t[1])
-                return math.copysign(math.inf, k)
-            return self.px
-        if self.kind == "double":
-            if self.Sg > 0.0:
-                lead = self.C1 if self.C1 != 0.0 else self.C0
-                if lead == 0.0:
-                    return self.px
-                return math.copysign(math.inf, lead if self.C1 != 0.0 else self.C0)
-            return self.px
-        if self.kind == "affine":
-            if self.Sg > 0.0 and self.C != 0.0:
-                return math.copysign(math.inf, self.C)
-            if self.A1 != 0.0:
-                return math.copysign(math.inf, self.A1)
-            return self.ga
-        if self.acc != 0.0:
-            return math.copysign(math.inf, self.acc)
-        if self.v != 0.0:
-            return math.copysign(math.inf, self.v)
-        return 0.0
-
-    def trapped(self, s: float, inside: int) -> bool:
-        """Complex case: envelope too small to reach the switching line again."""
-        if self.kind != "complex" or self.px == 0.0:
-            return False
-        if self.Sg > 0.0:
-            return False
-        if (self.px > 0.0) != (inside > 0):
-            return False
-        return self.env0 * math.exp(self.Sg * s) < abs(self.px) * (1.0 - 1e-15)
 
 
 def next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEvent:
@@ -328,11 +258,11 @@ def next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEve
         raise DomainError("flow exceeds the double range") from None
 
 
-def _seed_inside(xf, step: float, inside: int) -> tuple[float, float]:
-    """(s, xf(s)) at the first s = step/2, step/4, ... where xf is on the zone's side."""
+def _seed_inside(probe, step: float, inside: int) -> tuple[float, float]:
+    """(s, x(s)) at the first s = step/2, step/4, ... where x is on the zone's side."""
     for _ in range(60):
         step *= 0.5
-        v = xf(step)
+        v = probe(step)[0]
         if v != 0.0 and (v > 0.0) == (inside > 0):
             return step, v
     raise ConvergenceError("could not seed the crossing bracket")
@@ -341,8 +271,10 @@ def _seed_inside(xf, step: float, inside: int) -> tuple[float, float]:
 def _next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEvent:
     tau = 1.0 if direction is Orientation.FORWARD else -1.0
     inside = -1 if direction is Orientation.FORWARD else 1
-    prof = _Profile(z, y0, tau)
-    p0 = prof.p0
+    orbit = _Orbit(z, 0.0, y0)
+    if math.isinf(orbit.px):
+        raise DomainError("zone equilibrium a/D exceeds the double range")
+    p0 = tau * orbit.P
     if p0 != 0.0:
         if (p0 > 0.0) != (inside > 0):
             raise PreconditionError("start point does not enter the zone")
@@ -351,39 +283,41 @@ def _next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEv
         if z.a == 0.0 or (z.a > 0.0) != (inside > 0):
             raise PreconditionError("tangential start does not enter the zone")
 
-    scale = max(1.0, abs(y0), abs(z.b), abs(prof.px))
+    scale = max(1.0, abs(y0), abs(z.b), abs(orbit.px))
     tol = CROSSING_TOL * scale
-    xf, dxf = prof.xf, prof.dxf
+    at, T, b = orbit.at, z.T, z.b
+
+    def probe(s: float) -> tuple[float, float, float]:
+        """(x, x', y) at search time s, x' taken along the search direction."""
+        x, y = at(tau * s)
+        return x, tau * (T * x - y + b), y
 
     def finish(s_root: float) -> CrossingEvent:
-        vel = dxf(s_root)
+        _, vel, y = probe(s_root)
         if abs(vel) <= TANGENT_TOL * scale:
-            raise TangencyError("non-transversal crossing",
-                                t=s_root, y=flow(z, 0.0, y0, tau * s_root)[1])
-        _, yy = flow(z, 0.0, y0, tau * s_root)
-        return CrossingEvent(t=s_root, y=yy, transversal=True)
+            raise TangencyError("non-transversal crossing", t=s_root, y=y)
+        return CrossingEvent(t=s_root, y=y, transversal=True)
 
     prev_s, prev_v = 0.0, 0.0
     segments = 0
-    for s_b in prof.critical_times():
+    for s_b in orbit.critical_times(tau):
         segments += 1
         if segments > MAX_SEGMENTS:
             raise ConvergenceError("crossing search exceeded its segment budget")
-        v = xf(s_b)
+        v, _, y = probe(s_b)
         if v == 0.0:
-            raise TangencyError("orbit grazes the switching line",
-                                t=s_b, y=flow(z, 0.0, y0, tau * s_b)[1])
+            raise TangencyError("orbit grazes the switching line", t=s_b, y=y)
         if (v > 0.0) == (inside > 0):
-            if prof.trapped(s_b, inside):
+            if orbit.trapped(s_b, tau, inside):
                 raise NoReturnError("orbit spirals into the zone equilibrium")
             prev_s, prev_v = s_b, v
             continue
         if prev_v == 0.0:
-            # first segment: phi(0) = 0 and the orbit moved inside before s_b
-            prev_s, prev_v = _seed_inside(xf, s_b, inside)
-        return finish(_refine(xf, dxf, prev_s, s_b, prev_v, v, tol))
+            # first segment: x(0) = 0 and the orbit moved inside before s_b
+            prev_s, prev_v = _seed_inside(probe, s_b, inside)
+        return finish(_refine(probe, prev_s, s_b, prev_v, v, tol))
     # finitely many critical times: decide the tail
-    lim = prof.tail_limit()
+    lim = orbit.tail_limit(tau)
     if lim is None:
         raise ConvergenceError("crossing search exhausted the critical lattice")
     if lim == 0.0 or (lim > 0.0) == (inside > 0):
@@ -391,12 +325,12 @@ def _next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEv
     # the tail is monotone toward the other side: expand until the sign flips
     if prev_v == 0.0:
         # no critical times at all (so prev_s is 0): seed just inside
-        prev_s, prev_v = _seed_inside(xf, 1.0, inside)
+        prev_s, prev_v = _seed_inside(probe, 1.0, inside)
     hi = max(2.0 * prev_s, prev_s + 1.0)
     for _ in range(MAX_EXPAND):
-        v = xf(hi)
+        v = probe(hi)[0]
         if v != 0.0 and (v > 0.0) != (inside > 0):
-            return finish(_refine(xf, dxf, prev_s, hi, prev_v, v, tol))
+            return finish(_refine(probe, prev_s, hi, prev_v, v, tol))
         prev_s, prev_v = hi, (v if v != 0.0 else prev_v)
         hi *= 2.0
     raise ConvergenceError("no sign change found while expanding the tail")

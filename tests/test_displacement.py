@@ -133,6 +133,17 @@ def test_scan_annulus_candidate():
     assert orbits[0].kind is OrbitKind.ANNULUS_CANDIDATE
 
 
+@pytest.mark.parametrize("annulus_tol", [0.0, -1e-6, math.nan, math.inf])
+def test_scan_refuses_an_annulus_tolerance_not_finite_and_positive(annulus_tol):
+    # NaN reported 3 ISOLATED zeros on an annulus, and inf an annulus
+    # candidate on a system whose beta clause fails
+    for offset in (0.0, 0.3):
+        canon = to_canonical(annulus_family(1.0, 1.0, 1.0, 2.0, offset=offset))
+        ctx = make_context(canon.left, canon.right, canon.b)
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            find_crossing_orbits(ctx, 16, annulus_tol=annulus_tol)
+
+
 def test_scan_no_zeros_one_signed():
     ctx = ctx_of(HalfSystem(0, 1, 1), HalfSystem(0, 1, 1, orientation=BWD))
     assert find_crossing_orbits(ctx, 64) == []

@@ -1,0 +1,74 @@
+"""tools/output_check.py: the float comparison and the diff of two records."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "output_check.py"
+_SPEC = importlib.util.spec_from_file_location("output_check", _PATH)
+output_check = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_check)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ("x=1.0 y=2.5", "x=1.0 y=2.5", (0, 0.0, 0)),
+    ("x=1.0", "x=1.0000000000000002", (1, 2.220446049250313e-16, 0)),
+    ("t=-3.0, y=inf", "t=-3.0000000000000004, y=inf", (1, 4.440892098500626e-16 / 3.0, 0)),
+    # a pair on both sides of 0 is a sign flip, not 8.9e18 ulp
+    ("x=1.2e-10 y=5.0", "x=-3.8e-09 y=5.000000000000001", (1, 3.92e-09, 1)),
+    ("x=0.0", "x=1e-300", (0, 1e-300, 1)),
+    ("x=-0.0", "x=0.0", (0, 0.0, 0)),
+])
+def test_float_change(a, b, want):
+    ulps, scaled, flips = output_check._float_change(a, b)
+    assert (ulps, flips) == (want[0], want[2])
+    assert scaled == pytest.approx(want[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [
+    ("x=1.0", "y=1.0"),                       # the text differs
+    ("x=1.0", "x=1.0 2.0"),                   # one more float
+    ("NoReturnError: orbit never returns", "CrossingEvent(t=1.0, y=-1.0, transversal=True)"),
+])
+def test_float_change_is_none_when_more_than_floats_differ(a, b):
+    assert output_check._float_change(a, b) is None
+
+
+def _write(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
+def test_diff_of_identical_records_is_silent(tmp_path, capsys):
+    recs = [{"kind": "crossing", "key": "real 0 FORWARD", "crossing": "CrossingEvent(t=1.5)"}]
+    assert output_check.diff(_write(tmp_path / "a", recs), _write(tmp_path / "b", recs)) == 0
+    assert capsys.readouterr().out == "crossing: 1 records, 0 differ, 0 unmatched\n\n"
+
+
+def test_diff_reports_floats_flips_counts_and_unmatched_records(tmp_path, capsys):
+    a = [{"kind": "crossing", "key": "real 0 FORWARD", "crossing": "CrossingEvent(t=1.0, y=-2.0)"},
+         {"kind": "crossing", "key": "real 1 FORWARD", "crossing": "x=1.2e-10"},
+         {"kind": "crossing", "key": "real 2 FORWARD", "crossing": "NoReturnError: never"},
+         {"kind": "zeros", "key": "s", "y0": ["1.0"], "delta_calls": 3},
+         {"kind": "zeros", "key": "gone", "y0": []}]
+    b = [{"kind": "crossing", "key": "real 0 FORWARD",
+          "crossing": "CrossingEvent(t=1.0000000000000002, y=-2.0)"},
+         {"kind": "crossing", "key": "real 1 FORWARD", "crossing": "x=-3.8e-09"},
+         {"kind": "crossing", "key": "real 2 FORWARD", "crossing": "TangencyError: graze"},
+         {"kind": "zeros", "key": "s", "y0": ["1.0"], "delta_calls": 5}]
+    assert output_check.diff(_write(tmp_path / "a", a), _write(tmp_path / "b", b)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "crossing: 3 records, 3 differ, 0 unmatched",
+        "  crossing: 3 differ, 2 only in floats (largest 1 ulp, 3.92e-09 scaled; "
+        "1 with a sign flip)",
+        "  real 0 FORWARD: crossing (1 ulp, 2.22e-16)",
+        "  real 1 FORWARD: crossing (0 ulp, 3.92e-09, 1 sign flips)",
+        "  real 2 FORWARD: crossing",
+        "zeros: 2 records, 1 differ, 1 unmatched",
+        "  delta_calls: 1 differ, 3 -> 5 in all",
+        "  s: delta_calls (3 -> 5)",
+        "  unmatched: gone",
+    ]

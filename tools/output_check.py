@@ -24,7 +24,11 @@ holds this file) and writes one JSON object per line, in a fixed order:
 - kind "sign": the results of sign_delta_prime_at_zero and
   sign_delta_second_at_critical at zeros and at points that break a
   hypothesis, keyed by context and point index, so that a moved zero is a
-  changed float, not a new record.
+  changed float, not a new record;
+- kind "crossing": repr of oracle.next_crossing, or the error it raised, on
+  seeded zones of each flow branch (complex pair, real roots, double root,
+  D = 0, D = T = 0), b = 0 and b != 0, in both directions, one start in
+  five tangential (y0 = b).
 
 Record the parent and the change and diff the two files: identical files
 mean identical outputs, and for the map points identical solver paths.
@@ -32,7 +36,10 @@ mean identical outputs, and for the map points identical solver paths.
 per --cmd and per --format) and the largest change
 between the floats that the two records print in the same positions, in
 units in the last place and as |x - y| / max(1, |x|), and the same two
-figures for each record that differs only in floats; a count field
+figures for each record that differs only in floats.  A pair on both sides
+of 0, or 0 against a nonzero value, is counted as a sign flip and left out
+of the ulp figure, where it would read as the count of every double between
+the two.  A count field
 (delta_calls, residual_calls) that differs is printed as both values, per
 record and summed over all records.  It uses only the
 standard library.
@@ -338,6 +345,29 @@ def _sign_records(pw):
                        "second": _outcome(pw.sign_delta_second_at_critical, ctx, y0, y1)}
 
 
+CROSSINGS_PER_BRANCH = 60
+
+
+def _crossing_records(pw):
+    rng = random.Random(14)
+    fwd, bwd = pw.Orientation.FORWARD, pw.Orientation.BACKWARD
+    for i in range(CROSSINGS_PER_BRANCH):
+        a, b = rng.uniform(-3.0, 3.0), rng.choice([0.0, rng.uniform(-1.0, 1.0)])
+        T = rng.uniform(-2.0, 2.0)
+        s = rng.choice([-1.0, 1.0]) * rng.randint(1, 16) / 8.0
+        zones = (("complex", pw.ZoneFlow(T, 0.25 * T * T + rng.uniform(0.05, 2.0), a, b)),
+                 ("real", pw.ZoneFlow(T, 0.25 * T * T - rng.uniform(0.05, 2.0), a, b)),
+                 ("double", pw.ZoneFlow(2.0 * s, s * s, a, b)),
+                 ("det-zero", pw.ZoneFlow(T, 0.0, a, b)),
+                 ("det-trace-zero", pw.ZoneFlow(0.0, 0.0, a, b)))
+        for branch, z in zones:
+            for direction in (fwd, bwd):
+                y0 = b if rng.random() < 0.2 else b + rng.uniform(-1.0, 4.0)
+                yield {"kind": "crossing", "key": f"{branch} {i} {direction.name}",
+                       "zone": repr(z), "y0": repr(y0),
+                       "crossing": _outcome(pw.next_crossing, z, y0, direction)}
+
+
 def record(tree: str, out) -> None:
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     import pwlannulus as pw
@@ -351,6 +381,8 @@ def record(tree: str, out) -> None:
     for rec in _zero_records(pw):
         out.write(json.dumps(rec) + "\n")
     for rec in _sign_records(pw):
+        out.write(json.dumps(rec) + "\n")
+    for rec in _crossing_records(pw):
         out.write(json.dumps(rec) + "\n")
 
 
@@ -370,15 +402,22 @@ def _scaled(x: float, y: float) -> float:
     return abs(x - y) / max(1.0, abs(x))
 
 
-def _float_change(a: str, b: str) -> tuple[int, float] | None:
+def _flips_sign(x: float, y: float) -> bool:
+    """x and y differ and lie on both sides of 0, or one of them is 0."""
+    return x != y and (x <= 0.0 <= y or y <= 0.0 <= x)
+
+
+def _float_change(a: str, b: str) -> tuple[int, float, int] | None:
     """Largest change between the floats a and b print in the same places: in
-    ulp, and as |x - y| / max(1, |x|); None when more than floats differ."""
+    ulp over the pairs of one sign, as |x - y| / max(1, |x|) over all pairs,
+    and the number of pairs that flip sign; None when more than floats differ."""
     fa, fb = _FLOAT.findall(a), _FLOAT.findall(b)
     if len(fa) != len(fb) or _FLOAT.sub("#", a) != _FLOAT.sub("#", b):
         return None
     pairs = [(float(x), float(y)) for x, y in zip(fa, fb)]
-    return (max((_ulps(x, y) for x, y in pairs), default=0),
-            max((_scaled(x, y) for x, y in pairs), default=0.0))
+    flips = sum(_flips_sign(x, y) for x, y in pairs)
+    return (max((_ulps(x, y) for x, y in pairs if not _flips_sign(x, y)), default=0),
+            max((_scaled(x, y) for x, y in pairs), default=0.0), flips)
 
 
 def _per_flag(flag: str, keys, differing) -> str:
@@ -404,7 +443,8 @@ def diff(path_a: str, path_b: str) -> int:
     for kind in sorted({k for k, _ in a} | {k for k, _ in b}):
         keys = sorted({k for k in a if k[0] == kind} | {k for k in b if k[0] == kind})
         unmatched = [k for k in keys if k not in a or k not in b]
-        fields = {}   # field -> [records differing, float-only, largest ulp, scaled]
+        # field -> [records differing, float-only, largest ulp, scaled, with a sign flip]
+        fields = {}
         totals = {}   # count field -> [sum in A, sum in B] over the records both hold
         lines = []
         for key in keys:
@@ -420,7 +460,7 @@ def diff(path_a: str, path_b: str) -> int:
                 continue
             names = []
             for f in (f for f in ra if ra[f] != rb.get(f)):
-                count = fields.setdefault(f, [0, 0, 0, 0.0])
+                count = fields.setdefault(f, [0, 0, 0, 0.0, 0])
                 count[0] += 1
                 if f in totals:
                     names.append(f"{f} ({ra[f]} -> {rb[f]})")
@@ -429,9 +469,12 @@ def diff(path_a: str, path_b: str) -> int:
                 if change is None:
                     names.append(f)
                     continue
+                ulps, scaled, flips = change
                 count[1] += 1
-                count[2], count[3] = max(count[2], change[0]), max(count[3], change[1])
-                names.append(f"{f} ({change[0]} ulp, {change[1]:.3g})")
+                count[2], count[3] = max(count[2], ulps), max(count[3], scaled)
+                count[4] += flips > 0
+                flipped = f", {flips} sign flips" if flips else ""
+                names.append(f"{f} ({ulps} ulp, {scaled:.3g}{flipped})")
             lines.append(f"  {key[1]}: {', '.join(names)}")
         changed += len(lines) + len(unmatched)
         print(f"{kind}: {len(keys)} records, {len(lines)} differ, {len(unmatched)} unmatched")
@@ -439,12 +482,12 @@ def diff(path_a: str, path_b: str) -> int:
             differing = {k for k in keys if k in unmatched or a[k] != b[k]}
             for flag in ("--cmd", "--format"):
                 print(f"  per {flag}: {_per_flag(flag, keys, differing)}")
-        for f, (n, floats, worst, scaled) in sorted(fields.items()):
+        for f, (n, floats, worst, scaled, flipped) in sorted(fields.items()):
             if f in totals:
                 print(f"  {f}: {n} differ, {totals[f][0]} -> {totals[f][1]} in all")
                 continue
             print(f"  {f}: {n} differ, {floats} only in floats "
-                  f"(largest {worst} ulp, {scaled:.3g} scaled)")
+                  f"(largest {worst} ulp, {scaled:.3g} scaled; {flipped} with a sign flip)")
         print("\n".join(lines + [f"  unmatched: {k[1]}" for k in unmatched]))
     return 1 if changed else 0
 
