@@ -31,7 +31,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from . import classifier, displacement, halfmap, oracle
@@ -43,24 +42,13 @@ COMMANDS = ("classify", "halfmap", "displacement", "portrait", "sweep")
 FORMATS = ("json", "csv")
 TOL_NAMES = ("classify", "annulus")
 RAW_KEYS = {"AL", "bL", "AR", "bR"}
-CANON_KEYS = {"TL", "DL", "aL", "TR", "DR", "aR", "b"}
+CANON_KEYS = ("TL", "DL", "aL", "TR", "DR", "aR", "b")   # checked in this order
 PORTRAIT_ORBITS = 8
 EXIT_OK, EXIT_BAD_INPUT, EXIT_PRECONDITION = 0, 1, 2
 
 
 class _CliInputError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    command: str
-    tolerances: dict[str, float] = field(default_factory=dict)
-    output_format: str = "json"
-    grid: int = 64
-    span: float | None = None
-    seed: int = 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,12 +79,14 @@ def _parse_tol_items(items) -> dict[str, float]:
     return out
 
 
-def parse_config(argv) -> RunConfig:
+def parse_config(argv) -> argparse.Namespace:
+    """The run's settings: input_path, command, tolerances (name -> value),
+    output_format, grid, span and seed."""
     parser = _Parser(prog="pwlannulus", add_help=True)
     # an environment value is the default, so argparse converts and rejects it
-    parser.add_argument("--input", default=_env("INPUT"),
+    parser.add_argument("--input", dest="input_path", metavar="INPUT", default=_env("INPUT"),
                         help="path to the system parameter file")
-    parser.add_argument("--cmd", default=_env("CMD"), choices=COMMANDS,
+    parser.add_argument("--cmd", dest="command", default=_env("CMD"), choices=COMMANDS,
                         help="subcommand to run")
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                         help=f"tolerance override, names: {', '.join(TOL_NAMES)}")
@@ -106,27 +96,25 @@ def parse_config(argv) -> RunConfig:
                         help="scan span / sweep perturbation half-width")
     parser.add_argument("--seed", type=int, default=_env("SEED") or 0,
                         help="random seed for sweep")
-    parser.add_argument("--format", default=_env("FORMAT") or "json", choices=FORMATS,
-                        help="output format (default json)")
+    parser.add_argument("--format", dest="output_format", default=_env("FORMAT") or "json",
+                        choices=FORMATS, help="output format (default json)")
     args = parser.parse_args(argv)
     tol_items = args.tol or [s for s in (_env("TOL") or "").split(",") if s]
 
-    if args.input is None:
+    if args.input_path is None:
         raise _CliInputError("--input is required")
-    if args.cmd is None:
+    if args.command is None:
         raise _CliInputError("--cmd is required")
-    if args.cmd not in COMMANDS:
-        raise _CliInputError(f"unknown command {args.cmd!r}")
-    if args.format not in FORMATS:
-        raise _CliInputError(f"unknown format {args.format!r}")
+    if args.command not in COMMANDS:   # argparse checks a flag's choices, not a default's
+        raise _CliInputError(f"unknown command {args.command!r}")
+    if args.output_format not in FORMATS:
+        raise _CliInputError(f"unknown format {args.output_format!r}")
     if args.grid < 2:
         raise _CliInputError("--grid must be at least 2")
     if args.span is not None and not (math.isfinite(args.span) and args.span > 0.0):
         raise _CliInputError("--span must be finite and positive")
-    return RunConfig(input_path=args.input, command=args.cmd,
-                     tolerances=_parse_tol_items(tol_items),
-                     output_format=args.format, grid=args.grid, span=args.span,
-                     seed=args.seed)
+    args.tolerances = _parse_tol_items(tol_items)
+    return args
 
 
 def _as_real(value, where: str) -> float:
@@ -150,17 +138,14 @@ def _load_params(path: str) -> SystemParams:
         raise _CliInputError("the parameter file must hold a JSON object")
     keys = set(data)
     if keys == RAW_KEYS:
-        vecs = {}
-        for key, size in (("AL", 4), ("AR", 4), ("bL", 2), ("bR", 2)):
+        vals = []
+        for key, size in (("AL", 4), ("AR", 4), ("bL", 2), ("bR", 2)):   # SystemParams' order
             v = data[key]
             if not isinstance(v, list) or len(v) != size:
                 raise _CliInputError(f"{key} must be a list of {size} reals")
-            vecs[key] = [_as_real(x, f"{key}[{i}]") for i, x in enumerate(v)]
-        try:
-            return SystemParams.from_matrices(vecs["AL"], vecs["bL"], vecs["AR"], vecs["bR"])
-        except ValueError as exc:
-            raise _CliInputError(str(exc)) from exc
-    if keys == CANON_KEYS:
+            vals += [_as_real(x, f"{key}[{i}]") for i, x in enumerate(v)]
+        return SystemParams(*vals)
+    if keys == set(CANON_KEYS):
         vals = {k: _as_real(data[k], k) for k in CANON_KEYS}
         return from_canonical(
             a_left=vals["aL"], trace_left=vals["TL"], det_left=vals["DL"],
@@ -274,7 +259,7 @@ def _csv_table(header, rows) -> str:
     return "".join(lines)
 
 
-def _emit_table(cfg: RunConfig, out, header, rows, *, head=None, tail=None) -> None:
+def _emit_table(cfg: argparse.Namespace, out, header, rows, *, head=None, tail=None) -> None:
     """One write of the table: json keys the rows by the header between head
     and tail; csv writes the header and the rows (a float as its repr, None
     as an empty cell)."""
@@ -282,7 +267,7 @@ def _emit_table(cfg: RunConfig, out, header, rows, *, head=None, tail=None) -> N
               else _csv_table(header, rows))
 
 
-def _run_classify(cfg: RunConfig, p: SystemParams, out) -> int:
+def _run_classify(cfg: argparse.Namespace, p: SystemParams, out) -> int:
     tol = cfg.tolerances.get("classify", classifier.DEFAULT_TOL)
     cls = classifier.classify(p, tol)
     if cfg.output_format == "json":  # a few lines: no table
@@ -319,7 +304,7 @@ def _domain_entry(ctx: displacement.DisplacementContext) -> dict:
     return {"domain": {"lam": ctx.lam, "mu": ctx.mu if math.isfinite(ctx.mu) else None}}
 
 
-def _run_halfmap(cfg: RunConfig, p: SystemParams, out) -> int:
+def _run_halfmap(cfg: argparse.Namespace, p: SystemParams, out) -> int:
     ctx = _context(p)
     rows = [(y0, yl, yr + ctx.b, _slope(ctx.left, y0, yl), _slope(ctx.right, y0 - ctx.b, yr))
             for y0, yl, yr, _ in displacement.scan(ctx, cfg.grid, span=cfg.span).rows]
@@ -327,7 +312,7 @@ def _run_halfmap(cfg: RunConfig, p: SystemParams, out) -> int:
     return EXIT_OK
 
 
-def _run_displacement(cfg: RunConfig, p: SystemParams, out) -> int:
+def _run_displacement(cfg: argparse.Namespace, p: SystemParams, out) -> int:
     ctx = _context(p)
     annulus_tol = cfg.tolerances.get("annulus", displacement.ANNULUS_TOL)
     record = displacement.scan(ctx, cfg.grid, span=cfg.span)
@@ -339,7 +324,7 @@ def _run_displacement(cfg: RunConfig, p: SystemParams, out) -> int:
     return EXIT_OK
 
 
-def _run_portrait(cfg: RunConfig, p: SystemParams, out) -> int:
+def _run_portrait(cfg: argparse.Namespace, p: SystemParams, out) -> int:
     ctx = _context(p)
     lo, hi = displacement.scan_window(ctx, span=cfg.span)
     zl = oracle.ZoneFlow(T=ctx.left.T, D=ctx.left.D, a=ctx.left.a, b=0.0)
@@ -360,7 +345,7 @@ def _run_portrait(cfg: RunConfig, p: SystemParams, out) -> int:
     return EXIT_OK
 
 
-def _run_sweep(cfg: RunConfig, p: SystemParams, out) -> int:
+def _run_sweep(cfg: argparse.Namespace, p: SystemParams, out) -> int:
     tol = cfg.tolerances.get("classify", classifier.DEFAULT_TOL)
     half_width = cfg.span if cfg.span is not None else 0.1
     rng = random.Random(cfg.seed)
@@ -390,7 +375,7 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig, out=None) -> int:
+def run(cfg: argparse.Namespace, out=None) -> int:
     """Execute one configured command, streaming to `out` (default stdout)."""
     out = out if out is not None else sys.stdout
     try:

@@ -349,7 +349,7 @@ def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
 
 
 def _bracketed_newton(fd, lo, hi, flo, fhi, v):
-    """Root of f on [lo, hi], lo < hi, with a sign change; safeguarded Newton.
+    """Root of f on [lo, hi], lo < hi, f(lo) >= 0 > f(hi); safeguarded Newton.
 
     fd(v) returns (f(v), w) from one call, with f'(v) = v/w: w is W(v) for the
     integral's lower endpoint and -W(v) for its upper one.  v, strictly
@@ -364,8 +364,6 @@ def _bracketed_newton(fd, lo, hi, flo, fhi, v):
     """
     if flo == 0.0:
         return lo
-    if fhi == 0.0:
-        return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ConvergenceError("root bracket does not straddle a sign change")
     pos_at_lo = flo > 0.0

@@ -216,12 +216,8 @@ def sample_trajectory(z: ZoneFlow, x0: float, y0: float, duration: float,
 
 
 def _refine(probe, lo, hi, vlo, vhi, tol):
-    """Root of x on a sign-change bracket, bisection plus Newton; probe(s)
-    starts with (x, x') at s."""
-    if vlo == 0.0:
-        return lo
-    if vhi == 0.0:
-        return hi
+    """Root of x on a bracket whose end values vlo, vhi are nonzero and of
+    opposite signs, bisection plus Newton; probe(s) starts with (x, x') at s."""
     pos_at_lo = vlo > 0.0
     s = 0.5 * (lo + hi)
     for _ in range(200):

@@ -14,17 +14,12 @@ from pwlannulus import (HalfSystem, Orientation, classify, derivative, domain, e
                         evaluate, make_context, oracle_halfmap, pv_integral,
                         puiseux_at_lambda, q_value, sign_relation, taylor_at_zero,
                         to_canonical, verify_periodic, wpoly, Verdict)
-from conftest import (VIOLATIONS, domain_point, draw_annulus_params,
+from conftest import (CATEGORIES, VIOLATIONS, domain_point, draw_annulus_params,
                       draw_half_system, draw_violating_params, proper_pv_interval,
                       quad_pv)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
-
-_CATEGORIES = ("a_neg_complex", "a_zero_complex", "a_pos_complex",
-               "a_pos_real_distinct", "a_pos_det_neg", "a_pos_real_double",
-               "a_pos_det_zero")
-
 
 def _report(num, ok, elapsed, desc):
     status = "PASS" if ok else "FAIL"
@@ -77,8 +72,8 @@ def test_criterion_03_halfmap_cross_validation():
     rng = random.Random(103)
     t0 = time.monotonic()
     for i in range(1000):
-        category = _CATEGORIES[i % len(_CATEGORIES)]
-        orientation = FWD if (i // len(_CATEGORIES)) % 2 == 0 else BWD
+        category = CATEGORIES[i % len(CATEGORIES)]
+        orientation = FWD if (i // len(CATEGORIES)) % 2 == 0 else BWD
         h = draw_half_system(rng, category=category, orientation=orientation)
         y0 = domain_point(rng, h)
         got = oracle_halfmap(h, y0)

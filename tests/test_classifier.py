@@ -123,6 +123,13 @@ def test_classify_proportional_family():
     assert closed and abs(gap) < 1e-8
 
 
+def test_classification_record_of_an_unknown_name_is_a_key_error():
+    cls = classify(from_canonical(-2.0, -2.0, 4.0, 1.0, 1.0, 1.0))
+    with pytest.raises(KeyError) as err:
+        cls.record("xi1")
+    assert err.value.args == ("xi1",)
+
+
 def test_classify_symmetric_zero_trace_records():
     # both one-zone centers and the crossing-annulus clauses hold; the left
     # center takes verdict precedence while the records still show the rest

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -362,6 +366,124 @@ def test_classify_tolerance_override(tmp_path):
     code, text = run_cli(["--input", path, "--cmd", "classify",
                           "--tol", "classify=1e-6"])
     assert json.loads(text)["verdict"] == "crossing-period-annulus"
+
+
+def test_portrait_leaves_out_a_leg_the_oracle_refuses(tmp_path):
+    # right: a = 0 focus with 4D - T^2 = 4e-4, whose returns land about
+    # exp(-157)*y0 below 0, where the crossing is tangential within the
+    # oracle's tolerance; left: T = D = 0, a parabola that returns at -y0
+    path = write_json(tmp_path, "tangent.json", {
+        "TL": 0.0, "DL": 0.0, "aL": 1.0, "TR": 1.0, "DR": 0.2501, "aR": 0.0, "b": 0.0})
+    code, text = run_cli(["--input", path, "--cmd", "portrait", "--grid", "4",
+                          "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [(r["orbit"], r["leg"]) for r in rows] == [
+        (str(i), "left") for i in range(cli.PORTRAIT_ORBITS) for _ in range(4)]
+
+
+# -- refusals: each exits 1 with one line on stderr ---------------------------
+
+@pytest.fixture
+def no_env(monkeypatch):
+    for name in ("INPUT", "CMD", "TOL", "GRID", "SPAN", "SEED", "FORMAT"):
+        monkeypatch.delenv(cli.ENV_PREFIX + name, raising=False)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("item, message", [
+    ("classify", "--tol expects name=value, got 'classify'"),
+    ("classify=abc", "bad tolerance value 'abc'"),
+    ("classify=0", "tolerances must be finite and positive"),
+    ("annulus=-1e-9", "tolerances must be finite and positive"),
+    ("classify=inf", "tolerances must be finite and positive"),
+    ("annulus=nan", "tolerances must be finite and positive"),
+])
+def test_bad_tolerance_item(annulus_file, no_env, capsys, item, message):
+    assert cli.main(["--input", annulus_file, "--cmd", "classify", "--tol", item]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    no_env.setenv("PWLANNULUS_TOL", f"annulus=1e-9,{item}")   # the same check on the variable
+    assert cli.main(["--input", annulus_file, "--cmd", "classify"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags, env, message", [
+    ([], {}, "--cmd is required"),
+    ([], {"CMD": "bogus"}, "unknown command 'bogus'"),
+    (["--cmd", "sweep"], {"FORMAT": "xml"}, "unknown format 'xml'"),
+    (["--cmd", "sweep", "--grid", "1"], {}, "--grid must be at least 2"),
+    (["--cmd", "sweep"], {"GRID": "-5"}, "--grid must be at least 2"),
+    (["--cmd", "sweep", "--span", "0"], {}, "--span must be finite and positive"),
+    (["--cmd", "sweep", "--span", "-1"], {}, "--span must be finite and positive"),
+    (["--cmd", "sweep", "--span", "inf"], {}, "--span must be finite and positive"),
+    (["--cmd", "sweep"], {"SPAN": "nan"}, "--span must be finite and positive"),
+])
+def test_bad_setting(annulus_file, no_env, capsys, flags, env, message):
+    for name, value in env.items():
+        no_env.setenv(cli.ENV_PREFIX + name, value)
+    assert cli.main(["--input", annulus_file, *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_help_exits_0(no_env, capsys):
+    assert cli.main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: pwlannulus [-h] [--input INPUT]")
+    assert err == ""
+
+
+_CANON = {"TL": -2.0, "DL": 4.0, "aL": -2.0, "TR": 1.0, "DR": 1.0, "aR": 1.0, "b": 0.0}
+_RAW = {"AL": [0, 1, -1, 0], "bL": [0, 0], "AR": [1, 2, -1, -1], "bR": [1, 0]}
+
+
+@pytest.mark.parametrize("text, message", [
+    # json reads NaN, Infinity and a literal past the double range
+    (json.dumps({**_CANON, "DL": math.nan}), "DL must be finite"),
+    (json.dumps({**_CANON, "b": -math.inf}), "b must be finite"),
+    (json.dumps(_CANON).replace("4.0", "1e999"), "DL must be finite"),
+    (json.dumps({**_RAW, "bR": [1, math.inf]}), "bR[1] must be finite"),
+    ("[1, 2]", "the parameter file must hold a JSON object"),
+    ('"AL"', "the parameter file must hold a JSON object"),
+    (json.dumps({**_RAW, "AL": 5}), "AL must be a list of 4 reals"),
+    (json.dumps({**_RAW, "AR": {"0": 1}}), "AR must be a list of 4 reals"),
+    (json.dumps({**_RAW, "AR": [1, 2, -1]}), "AR must be a list of 4 reals"),
+    (json.dumps({**_RAW, "bL": [0, 0, 0]}), "bL must be a list of 2 reals"),
+])
+def test_bad_parameter_file(tmp_path, no_env, capsys, text, message):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    assert cli.main(["--input", str(path), "--cmd", "classify"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_unreadable_parameter_file(tmp_path, no_env, capsys):
+    path = str(tmp_path / "missing.json")
+    assert cli.main(["--input", path, "--cmd", "classify"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {path}: [Errno 2] No such file or directory: {path!r}\n")
+
+
+def test_parameter_file_that_is_not_json(tmp_path, no_env, capsys):
+    path = tmp_path / "params.json"
+    path.write_text('{"TL": -2.0,}')
+    assert cli.main(["--input", str(path), "--cmd", "classify"]) == 1
+    assert capsys.readouterr() == ("", f"error: {path} is not valid JSON: Expecting property "
+                                       "name enclosed in double quotes: line 1 column 13 "
+                                       "(char 12)\n")
+
+
+def test_canonical_refusal_names_the_first_bad_key_in_readme_order(tmp_path):
+    # every value is bad; the key named must not depend on the string hash seed
+    path = write_json(tmp_path, "nulls.json", dict.fromkeys(_CANON))
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    for seed in range(1, 7):
+        env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+        env.update(PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "pwlannulus.cli", "--input", path,
+                               "--cmd", "classify"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: TL must be a number\n"), seed
 
 
 # -- the table emitter ---------------------------------------------------------

@@ -14,8 +14,8 @@ from pwlannulus import (CanonicalSystem, ConditioningWarning, ContractError, Dom
                         make_context, sign_delta_prime_at_zero,
                         sign_delta_second_at_critical, to_canonical, verify_periodic, wpoly)
 from pwlannulus import displacement
-from pwlannulus.displacement import (REFINE_WIDTH, CrossingOrbit, orbits_from_scan, scan,
-                                      scan_grid, scan_window)
+from pwlannulus.displacement import (REFINE_WIDTH, CrossingOrbit, ScanRecord, ScanRow,
+                                      orbits_from_scan, scan, scan_grid, scan_window)
 from conftest import (CATEGORIES, count_residual_calls, draw_half_system, mp_map_value,
                       mp_residual, ulps)
 
@@ -217,6 +217,18 @@ def test_find_crossing_orbits_reads_the_scan(left, right):
     assert find_crossing_orbits(ctx, 40) == orbits_from_scan(ctx, scan(ctx, 40))
     assert (find_crossing_orbits(ctx, 40, span=3.0, annulus_tol=1e-12)
             == orbits_from_scan(ctx, scan(ctx, 40, span=3.0), annulus_tol=1e-12))
+
+
+def test_orbits_take_a_row_whose_delta_is_exactly_zero_as_the_zero(monkeypatch):
+    # no bracket is refined, so delta is never called; y0 = 0 is the common
+    # fixed point, not an orbit, and the last row counts like the others
+    ctx = ctx_of(HalfSystem(-1, 0, 1), HalfSystem(1, 0, 1, orientation=BWD))
+    monkeypatch.setattr(displacement, "delta", None)
+    rows = tuple(ScanRow(y0, -y0, -y0 + d, d)
+                 for y0, d in ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0), (1.5, -1.0), (2.0, 0.0)))
+    assert orbits_from_scan(ctx, ScanRecord(0.0, 2.5, rows)) == [
+        CrossingOrbit(y0=1.0, kind=OrbitKind.ISOLATED),
+        CrossingOrbit(y0=2.0, kind=OrbitKind.ISOLATED)]
 
 
 def _bisect_reference(ctx, record, annulus_tol=displacement.ANNULUS_TOL):
@@ -468,6 +480,21 @@ def test_sign_prime_requires_zero():
     ctx = ctx_of(HalfSystem(0, 1, 1), HalfSystem(0, 1, 1, orientation=BWD))
     with pytest.raises(ContractError):
         sign_delta_prime_at_zero(ctx, 1.0, evaluate(ctx.left, 1.0))
+
+
+@pytest.mark.parametrize("y0, y1, message", [
+    (0.0, -1.0, "y0 must lie in the open domain interior"),     # y0 = lam
+    (-1.0, -1.0, "y0 must lie in the open domain interior"),
+    (2.0, 0.5, "the shared map value y1 must be negative"),
+    (2.0, -2.5, "y1 does not match the half-map value at y0"),
+])
+def test_sign_helpers_refuse_a_point_that_is_not_a_zero_with_its_map_value(y0, y1, message):
+    # every point of the k = 1 family is a zero of delta, with yL = -2 at y0 = 2
+    ctx = ctx_of(HalfSystem(-1, 0, 1), HalfSystem(1, 0, 1, orientation=BWD))
+    for helper in (sign_delta_prime_at_zero, sign_delta_second_at_critical):
+        with pytest.raises(ContractError) as err:
+            helper(ctx, y0, y1)
+        assert str(err.value) == message
 
 
 def test_sign_prime_requires_unshifted_context():

@@ -36,6 +36,23 @@ def test_exists_examples():
     assert exists(HalfSystem(1, -1, 1, orientation=BWD))
 
 
+@pytest.mark.parametrize("triple, name", [
+    ((math.nan, 1.0, 1.0), "a"), ((0.0, math.inf, 1.0), "T"), ((1.0, 1.0, -math.inf), "D")])
+def test_half_system_refuses_a_non_finite_entry(triple, name):
+    with pytest.raises(ValueError) as err:
+        HalfSystem(*triple)
+    assert str(err.value) == f"{name} must be a finite real"
+
+
+def test_w_roots_where_a_squared_underflows():
+    # a^2 rounds to 0 while a*T does not: W = y^2 - a*T*y, roots 0 and a*T
+    h = HalfSystem(1e-200, 1e100, 1.0)
+    assert wpoly(h).c0 == 0.0
+    assert wpoly(h).roots() == [0.0, 1e-200 * 1e100]
+    with pytest.raises(DomainError, match=r"^a\^2 leaves the normal double range$"):
+        domain(h)
+
+
 def test_q_value_examples():
     assert q_value(HalfSystem(1, 5, 2)) == 0.0
     assert q_value(HalfSystem(0, 0, 1)) == 0.0
@@ -73,6 +90,26 @@ def test_pv_rejects_interior_root():
 def test_pv_rejects_divergent_endpoint_at_zero():
     with pytest.raises(DomainError):
         pv_integral(HalfSystem(0, 1, 1), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("h, y1, y0, message", [
+    (HalfSystem(-1, 1, 1), -math.inf, 1.0, "endpoints must be finite"),
+    (HalfSystem(-1, 1, 1), 0.0, math.nan, "endpoints must be finite"),
+    (HalfSystem(-1, 1, 1), 1.0, 0.0, "pv_integral requires y1 <= y0"),
+    (HalfSystem(0, 1, -1), -1.0, 1.0, "a = 0 requires D > 0 for a positive W"),
+    (HalfSystem(0, 1, 0), -1.0, 1.0, "a = 0 requires D > 0 for a positive W"),
+    # W = 1 - y^2 has no root in [2, 3] and is negative there
+    (HalfSystem(1, 0, -1), 2.0, 3.0, "W is not positive on the integration range"),
+])
+def test_pv_refusals(h, y1, y0, message):
+    with pytest.raises(DomainError) as err:
+        pv_integral(h, y1, y0)
+    assert str(err.value) == message
+
+
+def test_pv_over_an_empty_interval_is_zero():
+    assert pv_integral(HalfSystem(-1, 1, 1), 0.5, 0.5) == 0.0
+    assert pv_integral(HalfSystem(0, 1, 1), 0.0, 0.0) == 0.0   # also at the PV singularity
 
 
 def test_pv_matches_quadrature_on_proper_draws(rng):
@@ -763,6 +800,12 @@ def test_taylor_rejects_forward_orientation():
         taylor_at_zero(HalfSystem(1, -1, 1))
 
 
+def test_taylor_rejects_a_positive_left_endpoint():
+    # backward (1, 1, 1) dualizes to forward (-1, -1, 1), whose lam > 0
+    with pytest.raises(DomainError, match="^0 is not in the half-map domain$"):
+        taylor_at_zero(HalfSystem(1, 1, 1, orientation=BWD))
+
+
 def test_puiseux_frozen_coefficient():
     h = HalfSystem(-1, -1, 1)
     lam, coeff = puiseux_at_lambda(h)
@@ -785,3 +828,8 @@ def test_puiseux_exponent_and_coefficient_by_regression():
 def test_puiseux_requires_positive_lambda():
     with pytest.raises(DomainError):
         puiseux_at_lambda(HalfSystem(-1, 1, 1))  # T > 0 gives lam = 0
+
+
+def test_puiseux_rejects_backward_orientation():
+    with pytest.raises(DomainError, match="^puiseux_at_lambda applies to forward half-maps$"):
+        puiseux_at_lambda(HalfSystem(1, 1, 1, orientation=BWD))

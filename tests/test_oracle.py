@@ -9,7 +9,7 @@ import pytest
 from pwlannulus import oracle
 from pwlannulus import (CanonicalSystem, ConvergenceError, DomainError, HalfSystem,
                         NoReturnError, Orientation, PreconditionError, PwlError,
-                        SpectralCase, TangencyError, ZoneFlow, evaluate, flow,
+                        SlidingEncounteredError, SpectralCase, TangencyError, ZoneFlow, evaluate, flow,
                         next_crossing, oracle_halfmap, sample_trajectory, verify_periodic)
 from pwlannulus.oracle import (CROSSING_TOL, MAX_EXPAND, MAX_SEGMENTS, TANGENT_TOL,
                                CrossingEvent)
@@ -95,6 +95,12 @@ def test_sample_trajectory_shape():
     assert len(pts) == 16
     assert pts[0] == (0.0, 0.0, 1.0)
     assert pts[-1][0] == 1.5
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_sample_trajectory_needs_two_samples(n):
+    with pytest.raises(PreconditionError, match="^need at least two samples$"):
+        sample_trajectory(ZoneFlow(T=0.0, D=1.0, a=-1.0), 0.0, 1.0, 1.5, n)
 
 
 def _flow_per_call(z, x0, y0, t):
@@ -211,6 +217,16 @@ def test_tangent_circle_raises_tangency():
     z = ZoneFlow(T=0.0, D=1.0, a=-1.0)
     with pytest.raises(TangencyError):
         next_crossing(z, 0.0, FWD)
+
+
+def test_return_onto_the_equilibrium_ordinate_is_non_transversal():
+    # a = 0 focus, 4D - T^2 = 1.3e-3: the equilibrium (0, b) sits on the
+    # switching line and the return lands exp(-520) from it, where x' = b - y
+    # rounds to 0
+    z = ZoneFlow(T=6.064053756270045, D=9.193521680636394, a=0.0, b=-0.2969608239872956)
+    with pytest.raises(TangencyError, match="^non-transversal crossing$") as err:
+        next_crossing(z, 3.6588, BWD)
+    assert err.value.y == z.b
 
 
 def test_crossing_overflow_is_a_domain_error():
@@ -686,6 +702,21 @@ def test_verify_periodic_symmetric_zero_trace():
                             b=0.0)
     closed, gap = verify_periodic(canon, 3.0)
     assert closed and gap == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("b, y0, message", [
+    (1.0, 0.5, "start ordinate lies in the sliding interval"),
+    (-2.0, 1.0, "left passage lands in the sliding interval"),     # lands at -1
+    (2.0, 3.0, "right passage lands in the sliding interval"),     # lands at 2b - 3
+])
+def test_verify_periodic_refuses_the_sliding_interval(b, y0, message):
+    # two centers, (-1, 0) on the left and (1, b) on the right: each passage
+    # reflects y0 about its center's ordinate
+    canon = CanonicalSystem(left=HalfSystem(-1.0, 0.0, 1.0),
+                            right=HalfSystem(1.0, 0.0, 1.0, orientation=BWD), b=b)
+    with pytest.raises(SlidingEncounteredError) as err:
+        verify_periodic(canon, y0)
+    assert str(err.value) == message
 
 
 def test_verify_periodic_open_gap():

@@ -20,6 +20,12 @@ _SPEC.loader.exec_module(output_check)
     ("x=1.2e-10 y=5.0", "x=-3.8e-09 y=5.000000000000001", (1, 3.92e-09, 1)),
     ("x=0.0", "x=1e-300", (0, 1e-300, 1)),
     ("x=-0.0", "x=0.0", (0, 0.0, 0)),
+    # one sign but more than a factor of 2 apart: a scale change, not 2.2e16 ulp
+    ("x=1e-17 y=2.0", "x=1e-13 y=2.0", (0, 1e-13 - 1e-17, 1)),
+    ("x=-3.0", "x=-6.000000000000001", (0, 1.0000000000000002, 1)),
+    # within a factor of 2 the ulp figure counts every double between
+    ("x=1.0", "x=2.0", (2 ** 52, 1.0, 0)),
+    ("x=-3.0", "x=-6.0", (2 ** 52, 1.0, 0)),
 ])
 def test_float_change(a, b, want):
     ulps, scaled, flips = output_check._float_change(a, b)
@@ -63,9 +69,9 @@ def test_diff_reports_floats_flips_counts_and_unmatched_records(tmp_path, capsys
     assert out == [
         "crossing: 3 records, 3 differ, 0 unmatched",
         "  crossing: 3 differ, 2 only in floats (largest 1 ulp, 3.92e-09 scaled; "
-        "1 with a sign flip)",
+        "1 with a sign or scale change)",
         "  real 0 FORWARD: crossing (1 ulp, 2.22e-16)",
-        "  real 1 FORWARD: crossing (0 ulp, 3.92e-09, 1 sign flips)",
+        "  real 1 FORWARD: crossing (0 ulp, 3.92e-09, 1 sign or scale changes)",
         "  real 2 FORWARD: crossing",
         "zeros: 2 records, 1 differ, 1 unmatched",
         "  delta_calls: 1 differ, 3 -> 5 in all",

@@ -37,9 +37,10 @@ per --cmd and per --format) and the largest change
 between the floats that the two records print in the same positions, in
 units in the last place and as |x - y| / max(1, |x|), and the same two
 figures for each record that differs only in floats.  A pair on both sides
-of 0, or 0 against a nonzero value, is counted as a sign flip and left out
-of the ulp figure, where it would read as the count of every double between
-the two.  A count field
+of 0, 0 against a nonzero value, or two values of one sign more than a
+factor of 2 apart, is counted as a sign or scale change and left out of the
+ulp figure, where it would read as the count of every double between the
+two (1e-17 against 1e-13 is about 2e16 ulp).  A count field
 (delta_calls, residual_calls) that differs is printed as both values, per
 record and summed over all records.  It uses only the
 standard library.
@@ -402,22 +403,26 @@ def _scaled(x: float, y: float) -> float:
     return abs(x - y) / max(1.0, abs(x))
 
 
-def _flips_sign(x: float, y: float) -> bool:
-    """x and y differ and lie on both sides of 0, or one of them is 0."""
-    return x != y and (x <= 0.0 <= y or y <= 0.0 <= x)
+def _leaves_scale(x: float, y: float) -> bool:
+    """x and y differ and are not within a factor of 2 of each other: they
+    lie on both sides of 0, one of them is 0, or one is more than twice the
+    other in magnitude."""
+    return x != y and (x <= 0.0 <= y or y <= 0.0 <= x
+                       or abs(x) > 2.0 * abs(y) or abs(y) > 2.0 * abs(x))
 
 
 def _float_change(a: str, b: str) -> tuple[int, float, int] | None:
     """Largest change between the floats a and b print in the same places: in
-    ulp over the pairs of one sign, as |x - y| / max(1, |x|) over all pairs,
-    and the number of pairs that flip sign; None when more than floats differ."""
+    ulp over the pairs within a factor of 2, as |x - y| / max(1, |x|) over all
+    pairs, and the number of the other pairs that differ (see _leaves_scale);
+    None when more than floats differ."""
     fa, fb = _FLOAT.findall(a), _FLOAT.findall(b)
     if len(fa) != len(fb) or _FLOAT.sub("#", a) != _FLOAT.sub("#", b):
         return None
     pairs = [(float(x), float(y)) for x, y in zip(fa, fb)]
-    flips = sum(_flips_sign(x, y) for x, y in pairs)
-    return (max((_ulps(x, y) for x, y in pairs if not _flips_sign(x, y)), default=0),
-            max((_scaled(x, y) for x, y in pairs), default=0.0), flips)
+    jumps = sum(_leaves_scale(x, y) for x, y in pairs)
+    return (max((_ulps(x, y) for x, y in pairs if not _leaves_scale(x, y)), default=0),
+            max((_scaled(x, y) for x, y in pairs), default=0.0), jumps)
 
 
 def _per_flag(flag: str, keys, differing) -> str:
@@ -443,7 +448,8 @@ def diff(path_a: str, path_b: str) -> int:
     for kind in sorted({k for k, _ in a} | {k for k, _ in b}):
         keys = sorted({k for k in a if k[0] == kind} | {k for k in b if k[0] == kind})
         unmatched = [k for k in keys if k not in a or k not in b]
-        # field -> [records differing, float-only, largest ulp, scaled, with a sign flip]
+        # field -> [records differing, float-only, largest ulp, scaled,
+        #           with a sign or scale change]
         fields = {}
         totals = {}   # count field -> [sum in A, sum in B] over the records both hold
         lines = []
@@ -469,12 +475,12 @@ def diff(path_a: str, path_b: str) -> int:
                 if change is None:
                     names.append(f)
                     continue
-                ulps, scaled, flips = change
+                ulps, scaled, jumps = change
                 count[1] += 1
                 count[2], count[3] = max(count[2], ulps), max(count[3], scaled)
-                count[4] += flips > 0
-                flipped = f", {flips} sign flips" if flips else ""
-                names.append(f"{f} ({ulps} ulp, {scaled:.3g}{flipped})")
+                count[4] += jumps > 0
+                jumped = f", {jumps} sign or scale changes" if jumps else ""
+                names.append(f"{f} ({ulps} ulp, {scaled:.3g}{jumped})")
             lines.append(f"  {key[1]}: {', '.join(names)}")
         changed += len(lines) + len(unmatched)
         print(f"{kind}: {len(keys)} records, {len(lines)} differ, {len(unmatched)} unmatched")
@@ -482,12 +488,13 @@ def diff(path_a: str, path_b: str) -> int:
             differing = {k for k in keys if k in unmatched or a[k] != b[k]}
             for flag in ("--cmd", "--format"):
                 print(f"  per {flag}: {_per_flag(flag, keys, differing)}")
-        for f, (n, floats, worst, scaled, flipped) in sorted(fields.items()):
+        for f, (n, floats, worst, scaled, jumped) in sorted(fields.items()):
             if f in totals:
                 print(f"  {f}: {n} differ, {totals[f][0]} -> {totals[f][1]} in all")
                 continue
             print(f"  {f}: {n} differ, {floats} only in floats "
-                  f"(largest {worst} ulp, {scaled:.3g} scaled; {flipped} with a sign flip)")
+                  f"(largest {worst} ulp, {scaled:.3g} scaled; "
+                  f"{jumped} with a sign or scale change)")
         print("\n".join(lines + [f"  unmatched: {k[1]}" for k in unmatched]))
     return 1 if changed else 0
 
