@@ -7,38 +7,35 @@ cross-validates everything against an exact-flow simulation oracle.
 """
 
 from .classifier import (Classification, ConditionRecord, Verdict, annulus_family,
-                         check_H, classify, sliding_set, trivial_centers)
-from .displacement import (CrossingOrbit, DisplacementContext, OrbitKind, delta,
-                           delta_prime, f_value, find_crossing_orbits, make_context,
-                           sign_delta_prime_at_zero, sign_delta_second_at_critical)
+                         check_H, classify, sliding_set)
+from .displacement import (CrossingOrbit, DisplacementContext, OrbitKind, delta, f_value,
+                           find_crossing_orbits, make_context, sign_delta_prime_at_zero,
+                           sign_delta_second_at_critical)
 from .errors import (CanonicalizationError, ConditioningWarning, ContractError,
                      ConvergenceError, DomainError, EmptyDomainError, NoReturnError,
                      PreconditionError, PwlError, SlidingEncounteredError,
                      TangencyError)
 from .halfmap import (HalfMapDomain, HalfSystem, Orientation, WPolynomial, derivative,
-                      domain, evaluate, exists, pv_integral, puiseux_at_lambda,
-                      q_value, sign_relation, taylor_at_zero, wpoly)
-from .oracle import (CrossingEvent, SpectralCase, ZoneFlow, flow, next_crossing,
-                     oracle_halfmap, sample_trajectory, verify_periodic)
+                      domain, evaluate, exists)
+from .oracle import (CrossingEvent, ZoneFlow, flow, next_crossing, oracle_halfmap,
+                     sample_trajectory, verify_periodic)
 from .params import (CanonicalSystem, DerivedQuantities, SystemParams,
                      derive_invariants, from_canonical, to_canonical)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CanonicalSystem", "CanonicalizationError", "Classification",
     "ConditionRecord", "ConditioningWarning", "ContractError",
-    "ConvergenceError", "CrossingEvent", "CrossingOrbit", "DerivedQuantities",
-    "DisplacementContext", "DomainError", "EmptyDomainError", "HalfMapDomain",
-    "HalfSystem", "NoReturnError", "OrbitKind", "Orientation",
-    "PreconditionError", "PwlError", "SlidingEncounteredError", "SpectralCase",
-    "SystemParams", "TangencyError", "Verdict", "WPolynomial", "ZoneFlow",
-    "annulus_family", "check_H", "classify", "delta", "delta_prime",
-    "derivative", "derive_invariants", "domain", "evaluate", "exists",
-    "f_value", "find_crossing_orbits", "flow", "from_canonical",
-    "make_context", "next_crossing", "oracle_halfmap", "pv_integral",
-    "puiseux_at_lambda", "q_value", "sample_trajectory",
+    "ConvergenceError", "CrossingEvent", "CrossingOrbit",
+    "DerivedQuantities", "DisplacementContext", "DomainError",
+    "EmptyDomainError", "HalfMapDomain", "HalfSystem", "NoReturnError",
+    "OrbitKind", "Orientation", "PreconditionError", "PwlError",
+    "SlidingEncounteredError", "SystemParams", "TangencyError", "Verdict",
+    "WPolynomial", "ZoneFlow", "annulus_family", "check_H", "classify",
+    "delta", "derivative", "derive_invariants", "domain", "evaluate",
+    "exists", "f_value", "find_crossing_orbits", "flow", "from_canonical",
+    "make_context", "next_crossing", "oracle_halfmap", "sample_trajectory",
     "sign_delta_prime_at_zero", "sign_delta_second_at_critical",
-    "sign_relation", "sliding_set", "taylor_at_zero", "to_canonical",
-    "trivial_centers", "verify_periodic", "wpoly",
+    "sliding_set", "to_canonical", "verify_periodic",
 ]

@@ -101,17 +101,6 @@ def _centers(d: DerivedQuantities, tol: float) -> tuple[bool, bool]:
             abs(d.TR) <= ts and d.DR > 0.0 and d.aR > 0.0)
 
 
-def trivial_centers(d: DerivedQuantities, tol: float = DEFAULT_TOL) -> Verdict | None:
-    """One-zone linear-center verdicts; the left takes precedence when both hold."""
-    _check_tol(tol)
-    center_left, center_right = _centers(d, tol)
-    if center_left:
-        return Verdict.LINEAR_CENTER_LEFT
-    if center_right:
-        return Verdict.LINEAR_CENTER_RIGHT
-    return None
-
-
 def sliding_set(p: SystemParams, tol: float = DEFAULT_TOL) -> tuple[float, float] | None:
     """Sliding interval on the switching line, or None when beta vanishes.
 

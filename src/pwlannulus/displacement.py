@@ -114,12 +114,6 @@ def delta(ctx: DisplacementContext, y0: float) -> float:
     return _row(ctx, y0).delta
 
 
-def delta_prime(ctx: DisplacementContext, y0: float) -> float:
-    """Displacement derivative on the open interior, via the exact map slopes."""
-    return (halfmap.derivative(ctx.right, y0 - ctx.b)
-            - halfmap.derivative(ctx.left, y0))
-
-
 def f_value(ctx: DisplacementContext, y0: float, y1: float) -> float:
     """F(y0, y1) = c0 + c1*y0*y1 + c2*(y0 + y1)."""
     return ctx.c0 + ctx.c1 * y0 * y1 + ctx.c2 * (y0 + y1)
@@ -184,21 +178,6 @@ def scan_window(ctx: DisplacementContext, *, span: float | None = None) -> tuple
     return ctx.lam, hi
 
 
-def scan_grid(ctx: DisplacementContext, grid_n: int, *,
-              span: float | None = None) -> list[float]:
-    """The grid_n evenly spaced ordinates of the scan window, its upper end excluded."""
-    return _window_grid(ctx, grid_n, span)[2]
-
-
-def _window_grid(ctx, grid_n, span):
-    """(lo, hi, grid) of scan_window and scan_grid, the window formed once."""
-    if grid_n < 2:
-        raise PreconditionError("grid_n must be at least 2")
-    lo, hi = scan_window(ctx, span=span)
-    step = (hi - lo) / grid_n
-    return lo, hi, [lo + i * step for i in range(grid_n)]
-
-
 @dataclass(frozen=True)
 class ScanRecord:
     """The scanned window [lo, hi) and one row per grid point."""
@@ -219,7 +198,11 @@ def scan(ctx: DisplacementContext, grid_n: int, *,
     Newton stop, or within the residual's rounding where that is wider, and
     raises the same error where evaluate raises.
     """
-    lo, hi, ys = _window_grid(ctx, grid_n, span)
+    if grid_n < 2:
+        raise PreconditionError("grid_n must be at least 2")
+    lo, hi = scan_window(ctx, span=span)
+    step = (hi - lo) / grid_n
+    ys = [lo + i * step for i in range(grid_n)]
     left, right, b = ctx.left, ctx.right, ctx.b
     after = halfmap._evaluate_after
     row = _row(ctx, ys[0])

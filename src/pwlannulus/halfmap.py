@@ -54,7 +54,6 @@ from .errors import ConditioningWarning, ConvergenceError, DomainError
 RESIDUAL_TOL = 1e-12   # accepted residual of the defining integral identity
 STEP_TOL = 1e-14       # relative Newton-step floor; polishes past RESIDUAL_TOL
 MU_GUARD = 1e-9        # relative standoff from the upper domain endpoint mu
-SIGN_SNAP = 1e-9       # |y0 + y1| below this (times scale) counts as zero
 BARRIER_SHRINK = 1e-12 # relative offset of the bracket barrier from a W-root
 MAX_ITER = 200
 
@@ -221,31 +220,9 @@ class HalfMapDomain:
     mu: float
 
 
-def wpoly(h: HalfSystem) -> WPolynomial:
-    """Orientation-independent quadratic controlling the map's domain."""
-    return h._w
-
-
 def exists(h: HalfSystem) -> bool:
     """Whether the half-map is defined at all for this triple."""
     return h._q is not None
-
-
-def q_value(h: HalfSystem) -> float:
-    """Right-hand side of the defining integral identity."""
-    if h._q is None:
-        raise DomainError("q_value requires an existing half-map")
-    return h._q
-
-
-def _check_positive_on(h: HalfSystem, y1: float, y0: float) -> None:
-    """Reject integration ranges on which W is not strictly positive."""
-    for r in h._roots:
-        if y1 <= r <= y0:
-            raise DomainError(f"W vanishes at {r} inside [{y1}, {y0}]")
-    # No root inside, so W keeps one sign there; probe the midpoint.
-    if h._w(0.5 * (y1 + y0)) <= 0.0:
-        raise DomainError("W is not positive on the integration range")
 
 
 def _integral(h: HalfSystem, y1: float, y0: float) -> float:
@@ -326,26 +303,6 @@ def _fd_real(c2, c1, c0, two_d, k, q, y0, w0, u0, v):
     if ratio <= -1.0:  # the cross-ratio rounded onto the root
         raise DomainError("integration endpoint sits on a W root")
     return lead - coeff * math.log1p(ratio) / s - q, wv
-
-
-def pv_integral(h: HalfSystem, y1: float, y0: float) -> float:
-    """PV{ integral_{y1}^{y0} -y/W(y) dy } by closed-form antiderivatives."""
-    if not (math.isfinite(y1) and math.isfinite(y0)):
-        raise DomainError("endpoints must be finite")
-    if y1 > y0:
-        raise DomainError("pv_integral requires y1 <= y0")
-    if y1 == y0:
-        return 0.0
-    a, _, D = h._triple
-    if a == 0.0:
-        if D <= 0.0:
-            raise DomainError("a = 0 requires D > 0 for a positive W")
-        if y1 == 0.0 or y0 == 0.0:
-            raise DomainError("divergent endpoint at the PV singularity")
-        # -1/(D*y) integrates to -ln|y|/D; the symmetric limit cancels across 0.
-        return -math.log(abs(y0 / y1)) / D
-    _check_positive_on(h, y1, y0)
-    return _integral(h, y1, y0)
 
 
 def _bracketed_newton(fd, lo, hi, flo, fhi, v):
@@ -433,12 +390,14 @@ def domain(h: HalfSystem) -> HalfMapDomain:
     lam is zero except in the forward case a < 0, 4D - T^2 > 0, T < 0 (and its
     backward dual), where it solves the defining identity with map value 0.
     Raises DomainError when the half-map does not exist, and where doubles
-    cannot carry W: a^2 (a != 0) not a normal double, where W's roots are
-    off; T^2 not one with D = 0 (T != 0), where the linear-W formula divides
-    by 0 or inf; both terms of W's discriminant rounding to 0 (a, D != 0),
-    where its sign, and so mu, is lost, except with T = 0 < D, where W > 0
-    has no root and mu is inf.  The interval is kept on the
-    HalfSystem instance once solved; a solve that raises keeps nothing.
+    cannot carry W or q: a^2 (a != 0) not a normal double, where W's roots
+    are off; q not a finite double (a != 0), where the identity has no
+    finite right-hand side; T^2 not one with D = 0 (T != 0), where the
+    linear-W formula divides by 0 or inf; both terms of W's discriminant
+    rounding to 0 (a, D != 0), where its sign, and so mu, is lost, except
+    with T = 0 < D, where W > 0 has no root and mu is inf.  The interval is
+    kept on the HalfSystem instance once solved; a solve that raises keeps
+    nothing.
     """
     dom = h.__dict__.get("_domain")
     if dom is None:
@@ -447,6 +406,8 @@ def domain(h: HalfSystem) -> HalfMapDomain:
         a, T, D = h._triple
         if a != 0.0 and not sys.float_info.min <= a * a <= sys.float_info.max:
             raise DomainError("a^2 leaves the normal double range")
+        if a != 0.0 and not math.isfinite(h._q):   # at a = 0 the closed form needs no q
+            raise DomainError("q exceeds the double range")
         if D == 0.0 and T != 0.0 and not sys.float_info.min <= T * T <= sys.float_info.max:
             raise DomainError("T^2 leaves the normal double range")
         if (a != 0.0 and D != 0.0 and h._disc == 0.0 and 4.0 * D * h._w.c0 == 0.0
@@ -611,41 +572,3 @@ def derivative(h: HalfSystem, y0: float) -> float:
     _require_interior(h, y0)  # before the solve, so a point outside names the interior
     return slope(h, y0, evaluate(h, y0))
 
-
-def sign_relation(h: HalfSystem, y0: float) -> int:
-    """Sign of y0 + y(y0): -sign(T) forward, +sign(T) backward."""
-    s = y0 + evaluate(h, y0)
-    if abs(s) <= SIGN_SNAP * max(1.0, abs(y0)):
-        return 0
-    return 1 if s > 0.0 else -1
-
-
-def taylor_at_zero(h: HalfSystem) -> tuple[float, float]:
-    """(y(0), quadratic coefficient) of the backward map's expansion at 0.
-
-    The expansion is y(y0) = y(0) + W(y(0))/(2*a^2*y(0)) * y0^2 + O(y0^3);
-    its linear term vanishes.
-    """
-    if h.orientation is not Orientation.BACKWARD:
-        raise DomainError("taylor_at_zero applies to backward half-maps")
-    dom = domain(h)
-    if dom.lam != 0.0:
-        raise DomainError("0 is not in the half-map domain")
-    yhat1 = evaluate(h, 0.0)
-    if yhat1 >= -RESIDUAL_TOL:
-        raise DomainError("expansion undefined when the map fixes the origin")
-    return yhat1, h._w(yhat1) / (2.0 * h.a * h.a * yhat1)
-
-
-def puiseux_at_lambda(h: HalfSystem) -> tuple[float, float]:
-    """(lam, coefficient) of the forward map's square-root expansion at lam.
-
-    y(y0) = coeff * (y0 - lam)**0.5 + O(y0 - lam) with coeff = a*sqrt(2*lam/W(lam)),
-    defined only when lam > 0 (hence a < 0, T < 0, 4D - T^2 > 0).
-    """
-    if h.orientation is not Orientation.FORWARD:
-        raise DomainError("puiseux_at_lambda applies to forward half-maps")
-    dom = domain(h)
-    if dom.lam <= 0.0:
-        raise DomainError("expansion requires a strictly positive left endpoint")
-    return dom.lam, h.a * math.sqrt(2.0 * dom.lam / h._w(dom.lam))

@@ -21,7 +21,6 @@ bisection-safeguarded Newton then refines.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -37,12 +36,6 @@ MAX_SEGMENTS = 200000
 MAX_EXPAND = 400
 
 
-class SpectralCase(enum.Enum):
-    COMPLEX_PAIR = "complex-pair"
-    REAL_DISTINCT = "real-distinct"
-    REAL_DOUBLE = "real-double"
-
-
 @dataclass(frozen=True)
 class ZoneFlow:
     """One zone's field x' = T*x - y + b, y' = D*x - a."""
@@ -51,15 +44,6 @@ class ZoneFlow:
     D: float
     a: float
     b: float = 0.0
-
-    @property
-    def spectral_case(self) -> SpectralCase:
-        disc = self.T * self.T - 4.0 * self.D
-        if disc < 0.0:
-            return SpectralCase.COMPLEX_PAIR
-        if disc > 0.0:
-            return SpectralCase.REAL_DISTINCT
-        return SpectralCase.REAL_DOUBLE
 
 
 @dataclass(frozen=True)

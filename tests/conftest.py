@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from pwlannulus import (HalfSystem, Orientation, SystemParams, annulus_family,
-                        domain, exists, halfmap)
+                        domain, evaluate, exists, halfmap)
 
 # ---------------------------------------------------------------------------
 # independent principal-value quadrature oracle
@@ -186,15 +186,19 @@ def domain_point(rng: random.Random, h: HalfSystem, *, lo_frac=0.05, hi_frac=0.9
     return dom.lam + u * (hi - dom.lam)
 
 
+def sign_of_sum(h: HalfSystem, y0: float) -> int:
+    """Sign of y0 + y(y0), |y0 + y(y0)| <= 1e-9 * max(1, |y0|) counting as 0."""
+    s = y0 + evaluate(h, y0)
+    return 0 if abs(s) <= 1e-9 * max(1.0, abs(y0)) else 1 if s > 0.0 else -1
+
+
 def proper_pv_interval(rng: random.Random, h: HalfSystem, *, margin=1e-2):
     """[y1, y0] on which W stays well above zero, or None for this draw.
 
     Adaptive quadrature can only certify 1e-10 absolute agreement when the
     integrand is far from its poles, so near-singular draws are rejected.
     """
-    from pwlannulus import wpoly
-
-    w = wpoly(h)
+    w = h._w
     roots = w.roots()
     neg = max(max((r for r in roots if r < 0.0), default=-8.0) * 0.9, -8.0)
     pos = min(min((r for r in roots if r > 0.0), default=8.0) * 0.9, 8.0)

@@ -11,12 +11,11 @@ import time
 import numpy as np
 
 from pwlannulus import (HalfSystem, Orientation, classify, derivative, domain, exists,
-                        evaluate, make_context, oracle_halfmap, pv_integral,
-                        puiseux_at_lambda, q_value, sign_relation, taylor_at_zero,
-                        to_canonical, verify_periodic, wpoly, Verdict)
+                        evaluate, halfmap, make_context, oracle_halfmap, to_canonical,
+                        verify_periodic, Verdict)
 from conftest import (CATEGORIES, VIOLATIONS, domain_point, draw_annulus_params,
                       draw_half_system, draw_violating_params, proper_pv_interval,
-                      quad_pv)
+                      quad_pv, sign_of_sum)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -157,10 +156,10 @@ def test_criterion_07_taylor_coefficient():
         T = -rng.uniform(0.2, 2.0)
         D = T * T / 4.0 + rng.uniform(0.1, 2.0)
         h = HalfSystem(a, T, D, orientation=BWD)
-        yhat, coeff = taylor_at_zero(h)
-        assert yhat < 0.0
-        w = wpoly(h)
-        assert coeff == w(yhat) / (2.0 * a * a * yhat)
+        # y(y0) = yhat + W(yhat)/(2 a^2 yhat) * y0^2 + O(y0^3); lam = 0
+        yhat = evaluate(h, 0.0)
+        assert yhat < -halfmap.RESIDUAL_TOL
+        coeff = h._w(yhat) / (2.0 * a * a * yhat)
 
         def second_diff(s):
             return (evaluate(h, 0.0) - 2.0 * evaluate(h, s)
@@ -186,7 +185,9 @@ def test_criterion_08_puiseux_expansion():
         T = -rng.uniform(0.2, 2.0)
         D = T * T / 4.0 + rng.uniform(0.1, 2.0)
         h = HalfSystem(a, T, D)
-        lam, coeff = puiseux_at_lambda(h)
+        # y(y0) = a*sqrt(2 lam/W(lam)) * (y0 - lam)^(1/2) + O(y0 - lam)
+        lam = domain(h).lam
+        coeff = a * math.sqrt(2.0 * lam / h._w(lam))
         assert lam > 0.0 and coeff < 0.0
         ss = np.geomspace(1e-8, 1e-5, 7)
         vals = np.array([-evaluate(h, lam + s) for s in ss])
@@ -215,7 +216,7 @@ def test_criterion_09_sign_relation():
                 h = HalfSystem(h.a, math.copysign(0.1, h.T or 1.0), h.D)
             want = -int(math.copysign(1.0, h.T))
         y0 = domain_point(rng, h, lo_frac=0.15)
-        assert sign_relation(h, y0) == want, (h, y0)
+        assert sign_of_sum(h, y0) == want, (h, y0)
     elapsed = time.monotonic() - t0
     _report(9, True, elapsed, "sign(y0 + y(y0)) = -sign(T): 500 draws, exact match")
 
@@ -272,7 +273,7 @@ def test_criterion_12_pv_vs_quadrature():
         if interval is None:
             continue
         y1, y0 = interval
-        assert abs(pv_integral(h, y1, y0) - quad_pv(h, y1, y0)) <= 1e-10
+        assert abs(halfmap._integral(h, y1, y0) - quad_pv(h, y1, y0)) <= 1e-10
         checked += 1
     elapsed = time.monotonic() - t0
     _report(12, True, elapsed,

@@ -8,8 +8,7 @@ import pytest
 from pwlannulus import (CanonicalizationError, HalfSystem, Orientation, PreconditionError,
                         SystemParams, Verdict, annulus_family, check_H, classify,
                         derive_invariants, from_canonical,
-                        make_context, sliding_set, to_canonical, trivial_centers,
-                        verify_periodic)
+                        make_context, sliding_set, to_canonical, verify_periodic)
 from pwlannulus import displacement, exists
 from conftest import VIOLATIONS, draw_annulus_params, draw_violating_params
 
@@ -72,18 +71,18 @@ def test_check_H_fails_a_zone_whose_a_is_not_a_number():
 # -- trivial centers ------------------------------------------------------------
 
 def test_center_left():
-    d = derive_invariants(from_canonical(-1.0, 0.0, 1.0, 1.0, 2.0, 1.0))
-    assert trivial_centers(d) is Verdict.LINEAR_CENTER_LEFT
+    p = from_canonical(-1.0, 0.0, 1.0, 1.0, 2.0, 1.0)
+    assert classify(p).verdict is Verdict.LINEAR_CENTER_LEFT
 
 
 def test_center_right():
-    d = derive_invariants(from_canonical(1.0, 2.0, 1.0, 3.0, 0.0, 2.0))
-    assert trivial_centers(d) is Verdict.LINEAR_CENTER_RIGHT
+    p = from_canonical(1.0, 2.0, 1.0, 3.0, 0.0, 2.0)
+    assert classify(p).verdict is Verdict.LINEAR_CENTER_RIGHT
 
 
 def test_center_absent_for_nonzero_trace():
-    d = derive_invariants(from_canonical(-1.0, 1.0, 1.0, 3.0, 1.0, 2.0))
-    assert trivial_centers(d) is None
+    p = from_canonical(-1.0, 1.0, 1.0, 3.0, 1.0, 2.0)
+    assert classify(p).verdict not in (Verdict.LINEAR_CENTER_LEFT, Verdict.LINEAR_CENTER_RIGHT)
 
 
 # -- sliding set -----------------------------------------------------------------
@@ -229,8 +228,7 @@ def test_classify_rejects_nonpositive_tolerance():
 def test_tolerances_must_be_finite_and_positive(tol):
     # NaN answered no-period-annulus, and inf linear-center-left for any system
     p = annulus_family(1.0, 1.0, 1.0, 2.0)
-    for call in (classify, sliding_set,
-                 lambda p, tol: trivial_centers(derive_invariants(p), tol)):
+    for call in (classify, sliding_set):
         with pytest.raises(PreconditionError, match="finite and positive"):
             call(p, tol)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pwlannulus import (DomainError, HalfSystem, Orientation, cli, from_canonical,
                         halfmap, make_context, to_canonical)
-from pwlannulus.displacement import scan, scan_grid
+from pwlannulus.displacement import scan, scan_window
 
 
 def write_json(tmp_path, name, payload):
@@ -109,7 +109,9 @@ def test_table_rows_follow_the_scan_grid(annulus_file, command):
     assert code == 0
     ctx = make_context(HalfSystem(-2.0, -2.0, 4.0),
                        HalfSystem(1.0, 1.0, 1.0, orientation=Orientation.BACKWARD))
-    assert [r["y0"] for r in json.loads(text)["rows"]] == scan_grid(ctx, 16, span=5.0)
+    lo, hi = scan_window(ctx, span=5.0)   # the rows split the window in 16 equal steps
+    assert [r["y0"] for r in json.loads(text)["rows"]] == [lo + i * ((hi - lo) / 16)
+                                                          for i in range(16)]
 
 
 def test_half_map_overflow_exit(tmp_path, capsys):
@@ -122,6 +124,17 @@ def test_half_map_overflow_exit(tmp_path, capsys):
     assert code == 2
     assert text == ""
     assert "half-map value exceeds the double range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["halfmap", "displacement", "portrait"])
+def test_q_overflow_exit(tmp_path, capsys, command):
+    # the right map's q = -2*pi*TR/(DR*sqrt(4DR - TR^2)) is about 3.1e308
+    path = write_json(tmp_path, "q.json", {
+        "TL": 1, "DL": 1, "aL": 1, "TR": -1e-160, "DR": 1e-312, "aR": 1, "b": 0})
+    code, text = run_cli(["--input", path, "--cmd", command])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == "error: DomainError: q exceeds the double range\n"
 
 
 def test_typed_errors_name_their_class(tmp_path, capsys):

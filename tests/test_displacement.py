@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from pwlannulus import (CanonicalSystem, ConditioningWarning, ContractError, DomainError,
                         EmptyDomainError, HalfSystem, Orientation, OrbitKind,
-                        PreconditionError, PwlError, annulus_family, delta, delta_prime,
+                        PreconditionError, PwlError, annulus_family, delta, derivative,
                         domain, evaluate, f_value, find_crossing_orbits, halfmap,
                         make_context, sign_delta_prime_at_zero,
-                        sign_delta_second_at_critical, to_canonical, verify_periodic, wpoly)
+                        sign_delta_second_at_critical, to_canonical, verify_periodic)
 from pwlannulus import displacement
 from pwlannulus.displacement import (REFINE_WIDTH, CrossingOrbit, ScanRecord, ScanRow,
-                                      orbits_from_scan, scan, scan_grid, scan_window)
+                                      orbits_from_scan, scan, scan_window)
 from conftest import (CATEGORIES, count_residual_calls, draw_half_system, mp_map_value,
                       mp_residual, ulps)
 
@@ -196,8 +196,9 @@ def test_scan_rows_are_the_map_values_and_delta():
     # match a cold evaluate to within the Newton stop, not bit for bit
     ctx = ctx_of(ISO_LEFT, ISO_RIGHT, b=0.3)
     record = scan(ctx, 16)
-    assert [r.y0 for r in record.rows] == scan_grid(ctx, 16)
-    assert (record.lo, record.hi) == scan_window(ctx)
+    lo, hi = scan_window(ctx)
+    assert (record.lo, record.hi) == (lo, hi)
+    assert [r.y0 for r in record.rows] == [lo + i * ((hi - lo) / 16) for i in range(16)]
     for y0, yl, yr, d in record.rows:
         for h, y, got in ((ISO_LEFT, y0, yl), (ISO_RIGHT, y0 - 0.3, yr)):  # yR not shifted by b
             cold = evaluate(h, y)
@@ -339,7 +340,7 @@ def _rounding_band(h, y0, v):
     fd, R = halfmap._residual(h, y0), mp_residual(h, y0)
     noise = max(abs(float(R(x) - fd(x)[0]))
                 for x in (v + k * 1e-14 * abs(v) for k in range(-16, 17)))
-    return noise * wpoly(h)(v) / abs(v)
+    return noise * h._w(v) / abs(v)
 
 
 def _warm_contexts():
@@ -379,7 +380,8 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
             kind = ("a_zero" if h.a == 0.0 else h._kernel[0], h._rungs is not None,
                     dom.lam > 0.0, math.isfinite(dom.mu), shift != 0.0)
             prev, values = None, []
-            for y0 in scan_grid(ctx, 64):
+            lo, hi = scan_window(ctx)
+            for y0 in (lo + i * ((hi - lo) / 64) for i in range(64)):
                 y = y0 - shift
                 try:
                     want = cold(h, y)
@@ -465,7 +467,8 @@ def test_sign_prime_at_isolated_zero_matches_finite_difference():
     assert got == (1 if fd > 0 else -1)
     assert got == 1
     # consistency with the exact slope difference
-    assert delta_prime(ctx, ISO_ZERO) == pytest.approx(fd, rel=1e-5)
+    exact = derivative(ISO_RIGHT, ISO_ZERO) - derivative(ISO_LEFT, ISO_ZERO)
+    assert exact == pytest.approx(fd, rel=1e-5)
 
 
 def test_sign_prime_degenerate_family_is_zero():
@@ -553,13 +556,13 @@ def test_sign_helpers_solve_each_map_once(helper, monkeypatch):
 
 
 def test_sign_second_checks_the_exact_slope_difference():
-    # the slopes come from the checked row, bit for bit delta_prime's value
+    # the slopes come from the checked row, bit for bit the two derivatives
     ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
     y1 = evaluate(ISO_LEFT, ISO_ZERO)
     with pytest.raises(ContractError) as err:
         sign_delta_second_at_critical(ctx, ISO_ZERO, y1)
-    assert str(err.value) == (f"delta'(y0)={delta_prime(ctx, ISO_ZERO)} "
-                              "is not zero within tolerance")
+    dp = derivative(ISO_RIGHT, ISO_ZERO) - derivative(ISO_LEFT, ISO_ZERO)
+    assert str(err.value) == f"delta'(y0)={dp} is not zero within tolerance"
 
 
 def test_delta_smooth_on_interior(rng):

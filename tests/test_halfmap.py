@@ -11,10 +11,9 @@ import pytest
 
 from pwlannulus import (ConditioningWarning, DomainError, HalfSystem, NoReturnError,
                         Orientation, PwlError, derivative, domain, evaluate, exists,
-                        halfmap, oracle_halfmap, pv_integral, puiseux_at_lambda, q_value,
-                        sign_relation, taylor_at_zero, wpoly)
+                        halfmap, oracle_halfmap)
 from conftest import (count_residual_calls, domain_point, draw_half_system, mp_antiderivative,
-                      mp_map_value, proper_pv_interval, quad_pv, ulps)
+                      mp_map_value, proper_pv_interval, quad_pv, sign_of_sum, ulps)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -47,69 +46,37 @@ def test_half_system_refuses_a_non_finite_entry(triple, name):
 def test_w_roots_where_a_squared_underflows():
     # a^2 rounds to 0 while a*T does not: W = y^2 - a*T*y, roots 0 and a*T
     h = HalfSystem(1e-200, 1e100, 1.0)
-    assert wpoly(h).c0 == 0.0
-    assert wpoly(h).roots() == [0.0, 1e-200 * 1e100]
+    assert h._w.c0 == 0.0
+    assert h._w.roots() == [0.0, 1e-200 * 1e100]
     with pytest.raises(DomainError, match=r"^a\^2 leaves the normal double range$"):
         domain(h)
 
 
 def test_q_value_examples():
-    assert q_value(HalfSystem(1, 5, 2)) == 0.0
-    assert q_value(HalfSystem(0, 0, 1)) == 0.0
-    assert math.isclose(q_value(HalfSystem(-1, 2, 2)), math.pi, rel_tol=1e-15)
+    assert HalfSystem(1, 5, 2)._q == 0.0
+    assert HalfSystem(0, 0, 1)._q == 0.0
+    assert math.isclose(HalfSystem(-1, 2, 2)._q, math.pi, rel_tol=1e-15)
 
 
 def test_q_value_backward_sign_convention():
     # backward q negates the forward formula of the raw triple
     hb = HalfSystem(0, 1, 1, orientation=BWD)
-    assert math.isclose(q_value(hb), -math.pi / math.sqrt(3.0), rel_tol=1e-15)
+    assert math.isclose(hb._q, -math.pi / math.sqrt(3.0), rel_tol=1e-15)
 
 
 # -- principal-value integral -------------------------------------------------
 
-def test_pv_a_zero_cancellation():
-    assert math.isclose(pv_integral(HalfSystem(0, 7, 1), -2.0, 1.0),
-                        math.log(2.0), rel_tol=1e-14)
-
-
 def test_pv_odd_symmetric_interval():
-    assert pv_integral(HalfSystem(-1, 0, 1), -1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert halfmap._integral(HalfSystem(-1, 0, 1), -1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pv_frozen_value():
-    got = pv_integral(HalfSystem(-1, 1, 1), 0.0, 1.0)
+    got = halfmap._integral(HalfSystem(-1, 1, 1), 0.0, 1.0)
     assert got == pytest.approx(PV_NEG1_1_1, abs=1e-14)
 
 
-def test_pv_rejects_interior_root():
-    # W = 2y^2 - 3y + 1 vanishes at 1/2 and 1
-    with pytest.raises(DomainError):
-        pv_integral(HalfSystem(1, 3, 2), 0.0, 0.75)
-
-
-def test_pv_rejects_divergent_endpoint_at_zero():
-    with pytest.raises(DomainError):
-        pv_integral(HalfSystem(0, 1, 1), 0.0, 1.0)
-
-
-@pytest.mark.parametrize("h, y1, y0, message", [
-    (HalfSystem(-1, 1, 1), -math.inf, 1.0, "endpoints must be finite"),
-    (HalfSystem(-1, 1, 1), 0.0, math.nan, "endpoints must be finite"),
-    (HalfSystem(-1, 1, 1), 1.0, 0.0, "pv_integral requires y1 <= y0"),
-    (HalfSystem(0, 1, -1), -1.0, 1.0, "a = 0 requires D > 0 for a positive W"),
-    (HalfSystem(0, 1, 0), -1.0, 1.0, "a = 0 requires D > 0 for a positive W"),
-    # W = 1 - y^2 has no root in [2, 3] and is negative there
-    (HalfSystem(1, 0, -1), 2.0, 3.0, "W is not positive on the integration range"),
-])
-def test_pv_refusals(h, y1, y0, message):
-    with pytest.raises(DomainError) as err:
-        pv_integral(h, y1, y0)
-    assert str(err.value) == message
-
-
 def test_pv_over_an_empty_interval_is_zero():
-    assert pv_integral(HalfSystem(-1, 1, 1), 0.5, 0.5) == 0.0
-    assert pv_integral(HalfSystem(0, 1, 1), 0.0, 0.0) == 0.0   # also at the PV singularity
+    assert halfmap._integral(HalfSystem(-1, 1, 1), 0.5, 0.5) == 0.0
 
 
 def test_pv_matches_quadrature_on_proper_draws(rng):
@@ -122,7 +89,7 @@ def test_pv_matches_quadrature_on_proper_draws(rng):
         if interval is None:
             continue
         y1, y0 = interval
-        got = pv_integral(h, y1, y0)
+        got = halfmap._integral(h, y1, y0)
         want = quad_pv(h, y1, y0)
         assert got == pytest.approx(want, abs=1e-10)
         checked += 1
@@ -208,7 +175,7 @@ def test_zero_trace_with_a_tiny_determinant(det):
     # D*sqrt(4D - T^2) underflows in q, and W = 1 + D*y^2 rounds to 1 on the
     # whole range; with T = 0 the map is the reflection y0 -> -y0
     h = HalfSystem(-1.0, 0.0, det)
-    assert q_value(h) == 0.0
+    assert h._q == 0.0
     assert evaluate(h, 2.5) == pytest.approx(-2.5, rel=1e-14)
     assert derivative(h, 2.5) == pytest.approx(-1.0, rel=1e-14)
     assert evaluate(HalfSystem(1.0, 0.0, det, orientation=BWD), 0.7) == pytest.approx(
@@ -217,7 +184,7 @@ def test_zero_trace_with_a_tiny_determinant(det):
 
 def test_q_with_an_underflowing_denominator_stays_finite():
     # D*sqrt(4D - T^2) = 1e-300 * sqrt(3.99) * 1e-150 underflows; q does not
-    q = q_value(HalfSystem(0.0, 1e-151, 1e-300))
+    q = HalfSystem(0.0, 1e-151, 1e-300)._q
     assert q == pytest.approx(math.pi / math.sqrt(3.99) * 1e299, rel=1e-14)
 
 
@@ -253,8 +220,8 @@ def test_eval_defining_identity_on_draws(rng):
             continue  # identity only meaningful as a principal value
         # near W's negative root one ulp of y1 moves the residual by
         # |y1|/W(y1) * ulp, so the bound floors at that conditioning level
-        cond = abs(y1) / wpoly(h)(y1) if y1 != 0.0 else 0.0
-        assert abs(pv_integral(h, y1, y0) - q_value(h)) <= max(1e-10, 64.0 * eps * cond)
+        cond = abs(y1) / h._w(y1) if y1 != 0.0 else 0.0
+        assert abs(halfmap._integral(h, y1, y0) - h._q) <= max(1e-10, 64.0 * eps * cond)
 
 
 def test_eval_monotone_decreasing(rng):
@@ -342,6 +309,20 @@ def test_a_squared_outside_the_normal_range_is_refused(a, D):
             call()
 
 
+def test_q_outside_the_double_range_is_refused():
+    # forward triple (-1, 1e-160, 1e-312): q = 2*pi*T/(D*sqrt(4D - T^2)) is
+    # about 3.1e308, beyond the double range
+    h = HalfSystem(1.0, -1e-160, 1e-312, orientation=BWD)
+    assert h._q == math.inf
+    for call in (lambda: domain(h), lambda: evaluate(h, 1.0)):
+        with pytest.raises(DomainError, match=r"^q exceeds the double range$"):
+            call()
+    # at a = 0 the closed form needs no q, so an infinite q is no refusal
+    for h in (HalfSystem(0.0, 1e-159, 1e-312), HalfSystem(0.0, 1e-159, 1e-312, orientation=BWD)):
+        assert math.isinf(h._q)
+        assert math.isfinite(evaluate(h, 1.0))
+
+
 def test_no_return_where_a_tiny_a_puts_mu_below_y0():
     with pytest.raises(NoReturnError):
         oracle_halfmap(HalfSystem(1e-200, 0.0, -1.0), 1.0)
@@ -371,7 +352,7 @@ def test_zero_trace_and_extreme_a_give_a_value_or_a_typed_error():
             D = rng.choice([0.0, scale(-320.0, -26.0)])
         h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
         y0 = 10.0 ** rng.uniform(-320.0, 5.0)
-        for call in (q_value, domain, lambda h: evaluate(h, y0), lambda h: derivative(h, y0)):
+        for call in (domain, lambda h: evaluate(h, y0), lambda h: derivative(h, y0)):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ConditioningWarning)
@@ -487,7 +468,7 @@ def test_residual_closure_repeats_the_integral_and_slope_bitwise():
             h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
             if not exists(h):
                 continue
-            q, w = q_value(h), wpoly(h)
+            q, w = h._q, h._w
             seen.add(h._kernel[0])
             ys = [rng.uniform(-20.0, 20.0) for _ in range(4)] + list(h._roots) + [0.0]
             for y0 in ys:
@@ -645,12 +626,13 @@ def test_zero_trace_positive_determinant_is_spared_the_discriminant_guard():
 
 def test_zero_trace_positive_determinant_has_no_w_root():
     # W.disc = -4*D*a^2 underflows to 0 here and used to read as a double
-    # root at 0, so pv_integral refused a range across 0
+    # root at 0, and the integral refused a range across 0
     for h in (HalfSystem(1e-150, 0.0, 1e-30), HalfSystem(-1e-150, 0.0, 1e-30),
               HalfSystem(1e-150, 0.0, 1e-30, orientation=BWD)):
         assert h._roots == ()
-        assert pv_integral(h, -1.0, 1.0) == 0.0  # odd integrand
-        assert pv_integral(h, -1.0, 2.0) == pytest.approx(-math.log(4.0) / 2e-30, rel=1e-15)
+        assert halfmap._integral(h, -1.0, 1.0) == 0.0  # odd integrand
+        assert halfmap._integral(h, -1.0, 2.0) == pytest.approx(-math.log(4.0) / 2e-30,
+                                                                rel=1e-15)
     # a = 0 keeps W = D*y^2 and its double root at 0
     assert HalfSystem(0.0, 0.0, 1e-30)._roots == (0.0,)
 
@@ -660,7 +642,7 @@ def test_w_positive_between_images(rng):
         h = draw_half_system(rng)
         y0 = domain_point(rng, h)
         y1 = evaluate(h, y0)
-        w = wpoly(h)
+        w = h._w
         for i in range(1, 100):
             y = y1 + (y0 - y1) * i / 100.0
             if y != 0.0:
@@ -738,15 +720,15 @@ def test_slope_raises_like_derivative(monkeypatch):
 # -- sign relation --------------------------------------------------------------
 
 def test_sign_relation_zero_trace():
-    assert sign_relation(HalfSystem(-1, 0, 1), 2.0) == 0
+    assert sign_of_sum(HalfSystem(-1, 0, 1), 2.0) == 0
 
 
 def test_sign_relation_forward_positive_trace():
-    assert sign_relation(HalfSystem(0, 1, 1), 1.0) == -1
+    assert sign_of_sum(HalfSystem(0, 1, 1), 1.0) == -1
 
 
 def test_sign_relation_backward_positive_trace():
-    assert sign_relation(HalfSystem(0, 1, 1, orientation=BWD), 1.0) == 1
+    assert sign_of_sum(HalfSystem(0, 1, 1, orientation=BWD), 1.0) == 1
 
 
 def test_sign_relation_matches_trace_on_draws(rng):
@@ -757,21 +739,23 @@ def test_sign_relation_matches_trace_on_draws(rng):
         y0 = domain_point(rng, h, lo_frac=0.15)
         want = -int(math.copysign(1, h.T)) if h.orientation is FWD \
             else int(math.copysign(1, h.T))
-        assert sign_relation(h, y0) == want
+        assert sign_of_sum(h, y0) == want
 
 
 # -- local expansions -----------------------------------------------------------
 
 def test_taylor_frozen_values():
     h = HalfSystem(1, -1, 1, orientation=BWD)
-    yhat, coeff = taylor_at_zero(h)
+    yhat = evaluate(h, 0.0)
+    coeff = h._w(yhat) / (2.0 * yhat)   # y0^2 coefficient W(yhat)/(2 a^2 yhat), a = 1
     assert yhat == pytest.approx(TAYLOR_YHAT, rel=1e-12)
     assert coeff == pytest.approx(TAYLOR_COEFF, rel=1e-12)
 
 
 def test_taylor_matches_quadratic_fit():
     h = HalfSystem(1, -1, 1, orientation=BWD)
-    yhat, coeff = taylor_at_zero(h)
+    yhat = evaluate(h, 0.0)
+    coeff = h._w(yhat) / (2.0 * yhat)   # y0^2 coefficient W(yhat)/(2 a^2 yhat), a = 1
     step = 1e-3
 
     def second_diff(s):
@@ -790,46 +774,22 @@ def test_taylor_linear_coefficient_vanishes():
     assert abs(slope) <= 1e-6
 
 
-def test_taylor_rejects_zero_trace():
-    with pytest.raises(DomainError):
-        taylor_at_zero(HalfSystem(1, 0, 1, orientation=BWD))
-
-
-def test_taylor_rejects_forward_orientation():
-    with pytest.raises(DomainError):
-        taylor_at_zero(HalfSystem(1, -1, 1))
-
-
-def test_taylor_rejects_a_positive_left_endpoint():
-    # backward (1, 1, 1) dualizes to forward (-1, -1, 1), whose lam > 0
-    with pytest.raises(DomainError, match="^0 is not in the half-map domain$"):
-        taylor_at_zero(HalfSystem(1, 1, 1, orientation=BWD))
-
-
 def test_puiseux_frozen_coefficient():
     h = HalfSystem(-1, -1, 1)
-    lam, coeff = puiseux_at_lambda(h)
+    lam = domain(h).lam
+    coeff = -math.sqrt(2.0 * lam / h._w(lam))   # of (y0 - lam)^(1/2): a*sqrt(2 lam/W(lam))
     assert lam == pytest.approx(LAM_NEG1_NEG1_1, rel=1e-12)
-    w = wpoly(h)
-    assert coeff == pytest.approx(-math.sqrt(2.0 * lam / w(lam)), rel=1e-14)
+    w_lam = LAM_NEG1_NEG1_1 * (LAM_NEG1_NEG1_1 - 1.0) + 1.0   # W(y) = y^2 - y + 1
+    assert coeff == pytest.approx(-math.sqrt(2.0 * LAM_NEG1_NEG1_1 / w_lam), rel=1e-12)
 
 
 def test_puiseux_exponent_and_coefficient_by_regression():
     h = HalfSystem(-1, -1, 1)
-    lam, coeff = puiseux_at_lambda(h)
+    lam = domain(h).lam
+    coeff = -math.sqrt(2.0 * lam / h._w(lam))   # of (y0 - lam)^(1/2): a*sqrt(2 lam/W(lam))
     ss = np.geomspace(1e-8, 1e-5, 7)
     vals = np.array([-evaluate(h, lam + s) for s in ss])
     slope, intercept = np.polyfit(np.log(ss), np.log(vals), 1)
     assert abs(slope - 0.5) <= 0.01
     pinned = np.exp(np.mean(np.log(vals[:2]) - 0.5 * np.log(ss[:2])))
     assert pinned == pytest.approx(-coeff, rel=1e-3)
-
-
-def test_puiseux_requires_positive_lambda():
-    with pytest.raises(DomainError):
-        puiseux_at_lambda(HalfSystem(-1, 1, 1))  # T > 0 gives lam = 0
-
-
-def test_puiseux_rejects_backward_orientation():
-    with pytest.raises(DomainError, match="^puiseux_at_lambda applies to forward half-maps$"):
-        puiseux_at_lambda(HalfSystem(1, 1, 1, orientation=BWD))

@@ -9,7 +9,7 @@ import pytest
 from pwlannulus import oracle
 from pwlannulus import (CanonicalSystem, ConvergenceError, DomainError, HalfSystem,
                         NoReturnError, Orientation, PreconditionError, PwlError,
-                        SlidingEncounteredError, SpectralCase, TangencyError, ZoneFlow, evaluate, flow,
+                        SlidingEncounteredError, TangencyError, ZoneFlow, evaluate, flow,
                         next_crossing, oracle_halfmap, sample_trajectory, verify_periodic)
 from pwlannulus.oracle import (CROSSING_TOL, MAX_EXPAND, MAX_SEGMENTS, TANGENT_TOL,
                                CrossingEvent)
@@ -81,12 +81,6 @@ def test_flow_conserves_energy_in_zero_trace_zone(rng):
         for t in (0.3, 1.7, 4.1):
             e = energy(*flow(z, x0, y0, t))
             assert e == pytest.approx(e0, rel=1e-10, abs=1e-10)
-
-
-def test_spectral_case_tags():
-    assert ZoneFlow(T=0, D=1, a=0).spectral_case is SpectralCase.COMPLEX_PAIR
-    assert ZoneFlow(T=3, D=1, a=0).spectral_case is SpectralCase.REAL_DISTINCT
-    assert ZoneFlow(T=2, D=1, a=0).spectral_case is SpectralCase.REAL_DOUBLE
 
 
 def test_sample_trajectory_shape():
