@@ -166,11 +166,14 @@ def sign_delta_second_at_critical(ctx: DisplacementContext, y0: float,
 
 
 def scan_window(ctx: DisplacementContext, *, span: float | None = None) -> tuple[float, float]:
-    """[lo, hi) actually scanned: the domain, truncated when mu is infinite."""
+    """[lo, hi) actually scanned: the domain, truncated to lam + span (finite
+    and positive; None: SPAN_FACTOR * max(1, lam)) and clear of a finite mu."""
     if ctx.is_empty:
         raise EmptyDomainError("the common half-map domain is empty")
     if span is None:
         span = SPAN_FACTOR * max(1.0, ctx.lam)
+    elif not 0.0 < span < math.inf:  # also refuses NaN
+        raise PreconditionError("span must be finite and positive")
     hi = min(ctx.mu, ctx.lam + span)
     if math.isfinite(ctx.mu):
         # stand clear of the ill-conditioned upper endpoint
@@ -192,11 +195,11 @@ def scan(ctx: DisplacementContext, grid_n: int, *,
     """Solve each half-map once per grid point of the scan window.
 
     The first row is _row's cold solves.  Each later row solves the right
-    map, then the left, warm-started from the same map's value on the row
-    before (halfmap._evaluate_after), which needs about half the residual
-    evaluations.  A warm value agrees with a cold evaluate to within the
-    Newton stop, or within the residual's rounding where that is wider, and
-    raises the same error where evaluate raises.
+    map, then the left, by the walk that brackets a cold solve, started from
+    the same map's value on the row before (halfmap._evaluate_after), with
+    about half the residual evaluations.  A warm value is a cold evaluate's
+    within the Newton stop, or within the residual's rounding where that is
+    wider, and raises the same error where evaluate raises.
     """
     if grid_n < 2:
         raise PreconditionError("grid_n must be at least 2")

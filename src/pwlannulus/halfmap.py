@@ -18,19 +18,20 @@ pi*T/(D*sqrt(4D - T^2)) for a = 0 and twice that for a < 0.  The integrand is
 an explicit rational function, so the integral is evaluated by closed-form
 antiderivatives; root-finding on the lower endpoint is a bracketed bisection
 refined by safeguarded Newton steps, which stops once the residual is within
-RESIDUAL_TOL and the Newton step no longer moves the iterate's last bit.  A
-solve along a grid (displacement.scan) may start instead from the map value
-at the previous, smaller y0 (see _evaluate_after): that value bounds the new
-one from above and the tangent through it predicts it.
+RESIDUAL_TOL and the Newton step no longer moves the iterate's last bit.
+One downward walk (see _descend) brackets every solve: from 0 for a cold
+one, and for a solve along a grid (displacement.scan) from the map value at
+the previous, smaller y0 (see _evaluate_after), which bounds the new one from
+above and whose tangent gives the walk's first step.
 
 Everything in that identity except y0 is a per-system constant, fixed when
 a HalfSystem is built (see HalfSystem): W, its discriminant and roots, q,
 the integral's formula branch with that branch's constants (W's
 coefficients, 2D, and aT/(2D) combined with sqrt|disc| as the branch uses
-them, or a*T and T^2 when W is linear, or eps*a^2 and 2a^2 when T = 0), and
-the rungs of the lower bracket.  A solve fixes its y0 terms once as well
-(W(y0), 2D*y0 - aT, see _residual), so each Newton step makes one residual
-call, which forms W(v) once for both the integral and the slope v/W(v).
+them, or a*T and T^2 when W is linear), and the rungs of the lower bracket.
+A solve fixes its y0 terms once as well (W(y0), 2D*y0 - aT, see _residual),
+so each Newton step makes one residual call, which forms W(v) once for both
+the integral and the slope v/W(v).
 The domain [lam, mu) needs a solve that may fail, so it is solved on first
 use and then kept as well.
 
@@ -174,13 +175,14 @@ def _kernel(a: float, T: float, D: float, w: WPolynomial, disc: float) -> tuple:
     (branch, fd, c2, c1, c0, 2D, k): the branch's name and its residual
     function (see _residual), W's coefficients, 2D, and k, the branch's own
     constants.  Each constant is a subexpression that the formula groups on
-    its own, so forming it once moves no result by a bit.
+    its own, so forming it once moves no result by a bit.  None when T = 0:
+    W is even and q = 0 there, so the map is the reflection y0 -> -y0 (see
+    evaluate) and no solve forms a residual.
     """
+    if T == 0.0:
+        return None
     c2, c1, c0 = w.c2, w.c1, w.c0
     two_d = 2.0 * D
-    if T == 0.0:
-        return ("even", _fd_even, c2, c1, c0, two_d,
-                (abs(D), sys.float_info.epsilon * a * a, 2.0 * a * a))
     if D == 0.0:
         return "linear", _fd_linear, c2, c1, c0, two_d, (a, T, a * T, T * T)
     coeff = -c1 / two_d                     # aT / (2D)
@@ -265,16 +267,6 @@ def _fd_linear(c2, c1, c0, two_d, k, q, y0, w0, u0, v):  # D = 0
             (c2 * v + c1) * v + c0)
 
 
-def _fd_even(c2, c1, c0, two_d, k, q, y0, w0, u0, v):  # T = 0
-    abs_d, eps_a2, two_a2 = k
-    wv = (c2 * v + c1) * v + c0
-    # W = a^2 + D*y^2 is the constant a^2 where D*y^2 is below its
-    # rounding: D = 0, or a determinant so small the logarithm reads 0.
-    if abs_d * max(y0 * y0, v * v) <= eps_a2:
-        return (v - y0) * (v + y0) / two_a2 - q, wv
-    return -math.log(w0 / wv) / two_d - q, wv
-
-
 def _fd_complex(c2, c1, c0, two_d, k, q, y0, w0, u0, v):
     s, s_s, arc = k
     wv = (c2 * v + c1) * v + c0
@@ -310,14 +302,13 @@ def _bracketed_newton(fd, lo, hi, flo, fhi, v):
 
     fd(v) returns (f(v), w) from one call, with f'(v) = v/w: w is W(v) for the
     integral's lower endpoint and -W(v) for its upper one.  v, strictly
-    inside the bracket, is the first iterate: the midpoint for a cold solve,
-    a Newton step from a predicted point for a warm one.  Converges on the
-    residual first, then keeps polishing until the Newton step stalls at the
-    floating-point floor; a step that leaves the bracket is a bisection.  A
-    step that rounds back to v itself (v - step == v) with the residual
-    within RESIDUAL_TOL returns v: no further evaluation can move it, and
-    the bracket test would otherwise read v == hi (or lo) as leaving the
-    bracket and bisect from its far end.
+    inside the bracket, is the first iterate (see _descend and _solve_lambda).
+    Converges on the residual first, then keeps polishing until the Newton
+    step stalls at the floating-point floor; a step that leaves the bracket
+    is a bisection.  A step that rounds back to v itself (v - step == v) with
+    the residual within RESIDUAL_TOL returns v: no further evaluation can
+    move it, and the bracket test would otherwise read v == hi (or lo) as
+    leaving the bracket and bisect from its far end.
     """
     if flo == 0.0:
         return lo
@@ -350,37 +341,28 @@ def _bracketed_newton(fd, lo, hi, flo, fhi, v):
     raise ConvergenceError("half-map root-finding failed to converge")
 
 
-def _doubling_ladder(fd, x: float, sign: float, steps: int, error,
-                     message: str) -> tuple[float, float]:
-    """(x*2**k, f(x*2**k)) at the first k < steps where sign*f > 0.
-
-    fd(x) returns (f(x), ...) as for _bracketed_newton.  Raises
-    error(message) when there is none, and once x*2**k or the residual
-    there is no longer a finite double.
-    """
-    for _ in range(steps):
-        try:
-            fx = fd(x)[0]
-        except ValueError:   # W(x) so large that the log's argument rounds to 0
-            break
-        if sign * fx > 0.0:
-            return x, fx
-        x *= 2.0
-        if not (math.isfinite(fx) and math.isfinite(x)):
-            break
-    raise error(message)
-
-
 def _solve_lambda(h: HalfSystem) -> float:
-    """Left endpoint lam > 0: integral from 0 to lam equals q (< 0 here)."""
+    """Left endpoint lam > 0: integral from 0 to lam equals q (< 0 here).
+
+    The upper bracket is the first of 1, 2, 4, ... with a negative residual.
+    """
     q, w = h._q, h._w
 
     def gd(lam):
         return _integral(h, 0.0, lam) - q, -w(lam)   # slope -lam/W(lam)
 
-    hi, ghi = _doubling_ladder(gd, 1.0, -1.0, MAX_ITER, ConvergenceError,
-                               "no upper bracket for the domain endpoint")
-    return _bracketed_newton(gd, 0.0, hi, -q, ghi, 0.5 * hi)
+    hi = 1.0
+    for _ in range(MAX_ITER):
+        try:
+            ghi = gd(hi)[0]
+        except ValueError:   # W(hi) so large that the log's argument rounds to 0
+            break
+        if ghi < 0.0:
+            return _bracketed_newton(gd, 0.0, hi, -q, ghi, 0.5 * hi)
+        hi *= 2.0
+        if not (math.isfinite(ghi) and math.isfinite(hi)):
+            break
+    raise ConvergenceError("no upper bracket for the domain endpoint")
 
 
 def domain(h: HalfSystem) -> HalfMapDomain:
@@ -420,38 +402,57 @@ def domain(h: HalfSystem) -> HalfMapDomain:
     return dom
 
 
-def _lower_bracket(h: HalfSystem, fd, y0: float):
-    """Bracket [lo, 0] for the map value; lo sits above W's negative root.
+def _descend(h: HalfSystem, fd, hi: float, fhi: float, step: float) -> float:
+    """The map value below hi (residual fhi < 0; -inf: not evaluated), walking
+    down hi + step, hi + 2*step, hi + 4*step, ... to a residual >= 0.
 
-    The ladder (h._rungs) starts wide because W is only trustworthy a
-    relative sqrt(eps) away from a double root; the residual diverges to
-    +inf at the barrier, so the first rung with a positive residual brackets
-    the value.  When even the deepest computable rung leaves the residual
-    negative, the map value is within that rung's offset of the root itself,
-    which is the best double precision answer; it is returned directly (flo
-    None).  Without a negative root the residual grows without bound as lo
-    goes down, so a doubling ladder from -max(1, |y0|) finds lo, or the
-    value lies beyond the double range.
+    That point and the last negative one bracket the value; Newton starts
+    with the step from the first point walked, or at the bracket's midpoint
+    when that step leaves it.  The walk stops above the first rung
+    (h._rungs): the residual diverges at W's negative root, so the first rung
+    with a positive residual brackets the value, or the deepest computable
+    rung is within a rung's offset of the root, the best double answer.
+    Without rungs the walk runs to the end of the double range.
     """
     rungs = h._rungs
-    if rungs is not None:
-        pinned = None
-        for lo in rungs:
+    floor = -math.inf if rungs is None else rungs[0] if rungs else 0.0   # no rung: it raises
+    start, x, lo, cand = hi, hi + step, None, math.nan
+    while floor < x:   # as step doubles, x reaches -inf if nothing ends the walk first
+        try:
+            fx, wx = fd(x)
+        except ValueError:   # W(x) so large that the log's argument rounds to 0
+            break
+        if hi == start:   # the first point walked: Newton steps from it
+            d = x / wx
+            cand = x - fx / d if d != 0.0 else math.inf
+        if fx >= 0.0:
+            lo, flo = x, fx
+            break
+        if not fx > -math.inf:   # -inf or nan
+            break
+        hi, fhi = x, fx
+        step *= 2.0
+        x = start + step
+    if lo is None:
+        if rungs is None:
+            raise DomainError("half-map value exceeds the double range")
+        for r in rungs:
             try:
-                flo = fd(lo)[0]
+                fr = fd(r)[0]
             except DomainError:
                 break  # endpoint indistinguishable from the root in doubles
-            if not math.isfinite(flo):
+            if not math.isfinite(fr):
                 break
-            if flo > 0.0:
-                return lo, flo
-            pinned = lo
-        if pinned is not None:
-            return pinned, None
-        raise ConvergenceError("map value is pinned against the W-root barrier")
-    # a start with |x| >= 1 leaves the double range within max_exp doublings
-    return _doubling_ladder(fd, -max(1.0, abs(y0)), 1.0, sys.float_info.max_exp + 1,
-                            DomainError, "half-map value exceeds the double range")
+            lo, flo = r, fr
+            if fr > 0.0:
+                break
+        if lo is None:
+            raise ConvergenceError("map value is pinned against the W-root barrier")
+        if flo <= 0.0:   # every computable rung leaves the residual negative
+            return lo
+    if not lo < cand < hi:
+        cand = 0.5 * (lo + hi)
+    return _bracketed_newton(fd, lo, hi, flo, fhi, cand)
 
 
 def evaluate(h: HalfSystem, y0: float) -> float:
@@ -477,73 +478,39 @@ def evaluate(h: HalfSystem, y0: float) -> float:
     if T == 0.0:  # W is even and q = 0; 0.0 - y0 is 0.0, not -0.0, at y0 = 0
         return 0.0 - y0
     fd = _residual(h, y0)
-    f0 = fd(0.0)[0] if y0 != 0.0 else _integral(h, 0.0, y0) - h._q   # fd needs v != y0
+    f0 = fd(0.0)[0] if y0 != 0.0 else -h._q   # fd needs v != y0
     if f0 >= 0.0:
         # No root below zero.  At y0 == lam the residual is solver noise and
         # the map value is exactly the endpoint value 0.
         if f0 <= 100.0 * RESIDUAL_TOL:
             return 0.0
         raise DomainError("y0 lies below the half-map domain")
-    lo, flo = _lower_bracket(h, fd, y0)
-    if flo is None:
-        return lo
-    return _bracketed_newton(fd, lo, 0.0, flo, f0, 0.5 * lo)
+    # the walk's first point is -max(1, |y0|); with rungs it goes to them at once
+    return _descend(h, fd, 0.0, f0, -max(1.0, abs(y0)) if h._rungs is None else -math.inf)
 
 
 def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:
     """evaluate(h, y0) warm-started from y1p, the map value at some y0p < y0.
 
-    The map is strictly decreasing, so the residual at y1p is negative for
-    y0 > y0p and y1p is an upper bracket that costs no evaluation.  The
-    tangent y1p + slope*(y0 - y0p), with slope's closed form at (y0p, y1p),
-    predicts the value; the step below y1p doubles from there until the
-    residual turns positive, and Newton starts with the step from the
-    predicted point.  The steps stay above the floor of evaluate's own lower
-    bracket: its first rung, below which evaluate decides by rungs alone.
-    Without rungs evaluate's doubling ladder runs to the end of the double
-    range, and so do the steps.  The result agrees with evaluate's to within
-    the Newton stop, or where the residual's rounding is wider than that,
-    within its rounding.
-
-    Falls back to evaluate where there is no warm start to give: no usable
-    previous value (y0p <= lam or y1p >= 0), the closed forms a = 0 and
-    T = 0, y0 within MU_GUARD of mu (evaluate warns and caps there), a step
-    that reaches the floor, and a residual that raises DomainError, or
-    cannot be formed, or is not finite.
+    The map is strictly decreasing, so y1p is an upper bracket that costs no
+    evaluation, and the walk down from it (see _descend) first steps to the
+    tangent y1p + slope*(y0 - y0p), with slope's closed form at (y0p, y1p).
+    The result is evaluate's within the Newton stop, or where the residual's
+    rounding is wider than that, within its rounding.  Falls back to evaluate
+    without a usable previous value (y0p <= lam or y1p >= 0), at the closed
+    forms a = 0 and T = 0, within MU_GUARD of mu (evaluate warns and caps
+    there), and where the tangent is not a finite double below y1p: a nan or
+    infinite step, or one that rounds back onto y1p.
     """
     dom = domain(h)
     a, T, _ = h._triple
-    if (not (dom.lam < y0p < y0 <= dom.mu * (1.0 - MU_GUARD)) or not y1p < 0.0
-            or a == 0.0 or T == 0.0):
-        return evaluate(h, y0)
-    w, rungs = h._w, h._rungs
-    floor = -math.inf if rungs is None else rungs[0] if rungs else 0.0   # no rung: it raises
+    w = h._w
     den = y1p * w(y0p)
     step = y0p * w(y1p) / den * (y0 - y0p) if den != 0.0 else 0.0
-    fd = _residual(h, y0)
-    hi, fhi = y1p, -math.inf   # the residual at y1p is negative, not evaluated
-    v = x = y1p + step
-    try:
-        for _ in range(MAX_ITER):
-            if not floor < x < hi:   # also a nan or infinite step
-                break
-            fx, wx = fd(x)
-            if not math.isfinite(fx):
-                break
-            if x == v:   # the predicted point: Newton steps from it
-                fv, wv = fx, wx
-            if fx >= 0.0:
-                d = v / wv
-                cand = v - fv / d if d != 0.0 else math.inf
-                if not x < cand < hi:
-                    cand = 0.5 * (x + hi)
-                return _bracketed_newton(fd, x, hi, fx, fhi, cand)
-            hi, fhi = x, fx
-            step *= 2.0
-            x = y1p + step
-    except (DomainError, ValueError):   # ValueError: as in _doubling_ladder
-        pass
-    return evaluate(h, y0)
+    if (not (dom.lam < y0p < y0 <= dom.mu * (1.0 - MU_GUARD)) or not y1p < 0.0
+            or a == 0.0 or T == 0.0 or not -math.inf < y1p + step < y1p):
+        return evaluate(h, y0)
+    return _descend(h, _residual(h, y0), y1p, -math.inf, step)
 
 
 def _require_interior(h: HalfSystem, y0: float) -> None:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pwlannulus import (CanonicalSystem, ConditioningWarning, ContractError, DomainError,
                         EmptyDomainError, HalfSystem, Orientation, OrbitKind,
                         PreconditionError, PwlError, annulus_family, delta, derivative,
-                        domain, evaluate, f_value, find_crossing_orbits, halfmap,
-                        make_context, sign_delta_prime_at_zero,
+                        domain, evaluate, f_value, find_crossing_orbits, from_canonical,
+                        halfmap, make_context, sign_delta_prime_at_zero,
                         sign_delta_second_at_critical, to_canonical, verify_periodic)
 from pwlannulus import displacement
 from pwlannulus.displacement import (REFINE_WIDTH, CrossingOrbit, ScanRecord, ScanRow,
@@ -142,6 +142,19 @@ def test_scan_refuses_an_annulus_tolerance_not_finite_and_positive(annulus_tol):
         ctx = make_context(canon.left, canon.right, canon.b)
         with pytest.raises(PreconditionError, match="finite and positive"):
             find_crossing_orbits(ctx, 16, annulus_tol=annulus_tol)
+
+
+@pytest.mark.parametrize("span", [0.0, -1.0, math.nan, math.inf])
+def test_scan_refuses_a_span_not_finite_and_positive(span):
+    # xi0 = 0.1: no annulus.  span = 0 reported an annulus candidate at
+    # y0 = 0, -1 a y0 outside the domain, and NaN and inf a y0 not finite
+    canon = to_canonical(from_canonical(0.5, -0.8, 1.0, -0.5, 0.6, 1.0))
+    ctx = make_context(canon.left, canon.right, canon.b)
+    for call in (lambda: scan_window(ctx, span=span), lambda: scan(ctx, 16, span=span),
+                 lambda: find_crossing_orbits(ctx, 16, span=span)):
+        with pytest.raises(PreconditionError, match="^span must be finite and positive$"):
+            call()
+    assert scan_window(ctx, span=None) == scan_window(ctx)
 
 
 def test_scan_no_zeros_one_signed():
@@ -377,7 +390,8 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
         walked = []
         for h, shift in ((ctx.right, ctx.b), (ctx.left, 0.0)):
             dom = domain(h)
-            kind = ("a_zero" if h.a == 0.0 else h._kernel[0], h._rungs is not None,
+            kind = ("a_zero" if h.a == 0.0 else "even" if h.T == 0.0 else h._kernel[0],
+                    h._rungs is not None,
                     dom.lam > 0.0, math.isfinite(dom.mu), shift != 0.0)
             prev, values = None, []
             lo, hi = scan_window(ctx)
@@ -420,8 +434,9 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
                                       ("double", True), ("double", False),
                                       ("linear", True), ("linear", False)}
     assert all(any(k[i] for k in warm) for i in (2, 3, 4))
-    # closed forms always, and the real values pinned at W's negative root
-    assert fallbacks == {"a_zero", "even", "real"}
+    # the closed forms only: the walk brackets the values at W's negative
+    # root with the rungs itself
+    assert fallbacks == {"a_zero", "even"}
 
 
 def test_warm_start_falls_back_where_evaluate_warns_or_raises():
@@ -440,13 +455,24 @@ def test_warm_start_falls_back_where_evaluate_warns_or_raises():
         halfmap._evaluate_after(overflow, 2.0, 1.0, -1.0)
 
 
+def test_warm_start_falls_back_where_its_step_rounds_back_onto_the_last_value():
+    # the tangent step, about -4.4e-16, rounds back onto y1p = -4.640057574815677
+    h = HalfSystem(-2.9321567698738864, 0.7125479165243531, 0.05094901631194507, BWD)
+    y0p, y0 = 455352415.355214, 464211411.7707964
+    y1p = evaluate(h, y0p)
+    assert y1p == -4.640057574815677
+    w = h._w
+    assert y1p + y0p * w(y1p) / (y1p * w(y0p)) * (y0 - y0p) == y1p
+    assert repr(halfmap._evaluate_after(h, y0, y0p, y1p)) == repr(evaluate(h, y0))
+
+
 def test_scan_makes_the_pinned_number_of_residual_evaluations(monkeypatch):
     # 64 rows of two maps, rows 0 and 1 cold (y0p = lam = 0 on row 1) and
-    # the rest warm-started; cold solves of every row make 1212
+    # the rest warm-started; cold solves of every row make 1225
     ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
     counted = count_residual_calls(monkeypatch)
     scan(ctx, 64)
-    assert counted[0] == 557
+    assert counted[0] == 551
 
 
 # -- derivative signs ---------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 import warnings
 
 import mpmath
@@ -65,10 +64,6 @@ def test_q_value_backward_sign_convention():
 
 
 # -- principal-value integral -------------------------------------------------
-
-def test_pv_odd_symmetric_interval():
-    assert halfmap._integral(HalfSystem(-1, 0, 1), -1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
 
 def test_pv_frozen_value():
     got = halfmap._integral(HalfSystem(-1, 1, 1), 0.0, 1.0)
@@ -387,10 +382,6 @@ def _integral_reference(h, y1, y0):
         return 0.0
     a, T, D = h._triple
     w = h._w
-    if T == 0.0:
-        if abs(D) * max(y0 * y0, y1 * y1) <= sys.float_info.epsilon * a * a:
-            return (y1 - y0) * (y1 + y0) / (2.0 * a * a)
-        return -math.log(w(y0) / w(y1)) / (2.0 * D)
     if D == 0.0:
         return (y0 - y1) / (a * T) + math.log((a - T * y0) / (a - T * y1)) / (T * T)
     lead = -math.log(w(y0) / w(y1)) / (2.0 * D)
@@ -423,15 +414,13 @@ def _integral_outcome(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-BRANCHES = ("even", "linear", "complex", "double", "real")
+BRANCHES = ("linear", "complex", "double", "real")
 
 
 def _branch_triple(rng, branch):
     """(a, T, D) whose kernel takes the named formula branch."""
     a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
     T = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0)
-    if branch == "even":
-        return a, 0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-40.0, 1.0)
     if branch == "linear":
         return a, T, 0.0
     if branch == "complex":
@@ -493,8 +482,8 @@ def test_residual_closure_repeats_the_integral_and_slope_bitwise():
     # a = 0 and T = 0: closed forms, no solve
     pytest.param(HalfSystem(0.0, 1.0, 1.0), 1.0, 0, "-6.133707406236227", id="a_zero"),
     pytest.param(HalfSystem(-1.0, 0.0, 1.0), 2.0, 0, "-2.0", id="t_zero"),
-    # y0 = 0: the integral over [0, 0] is read, then the doubling ladder
-    pytest.param(HalfSystem(1.0, -1.0, 1.0, orientation=BWD), 0.0, 12, "-12.18574419033854",
+    # y0 = 0: the residual at 0 is -q, then the walk from 0
+    pytest.param(HalfSystem(1.0, -1.0, 1.0, orientation=BWD), 0.0, 9, "-12.185744190338538",
                  id="y0_zero"),
     # y0 = lam: the residual at 0 is solver noise and the value is 0
     pytest.param(HalfSystem(-1.0, -1.0, 1.0), "lam", 1, "0.0", id="y0_lam"),
@@ -505,9 +494,9 @@ def test_residual_closure_repeats_the_integral_and_slope_bitwise():
     # every computable rung leaves the residual negative: the value is pinned
     pytest.param(HalfSystem(0.43363031912407335, -2.3540228188847414, 0.07509130706403618),
                  8.0, 5, "-0.18677442723103793", id="pinned_rung"),
-    # no negative root: the doubling ladder brackets the value (complex, linear)
-    pytest.param(HalfSystem(-1.0, 1.0, 1.0), 1.0, 12, "-15.340487060457239", id="ladder_complex"),
-    pytest.param(HalfSystem(1.0, 1.0, 0.0), 0.5, 7, "-0.7564312086261695", id="ladder_linear"),
+    # no negative root: the walk down from 0 brackets the value (complex, linear)
+    pytest.param(HalfSystem(-1.0, 1.0, 1.0), 1.0, 11, "-15.340487060457233", id="ladder_complex"),
+    pytest.param(HalfSystem(1.0, 1.0, 0.0), 0.5, 6, "-0.7564312086261697", id="ladder_linear"),
 ])
 def test_evaluate_makes_the_pinned_number_of_residual_evaluations(monkeypatch, h, y0, calls, y1):
     # each branch of evaluate takes the same steps as when every residual
@@ -518,6 +507,18 @@ def test_evaluate_makes_the_pinned_number_of_residual_evaluations(monkeypatch, h
     counted = count_residual_calls(monkeypatch)
     assert repr(evaluate(h, y0)) == y1
     assert counted[0] == calls
+
+
+@pytest.mark.parametrize("h, y0", [
+    (HalfSystem(1.0, -1.0, 1.0, orientation=BWD), 0.0),
+    (HalfSystem(-1.0, 1.0, 1.0), 1.0),
+    (HalfSystem(1.0, 1.0, 0.0), 0.5),
+])
+def test_walked_values_are_within_8_ulp_of_a_40_digit_reference(h, y0):
+    # the values the walk from 0 brackets, whose Newton start is the step
+    # from its first point
+    y1 = evaluate(h, y0)
+    assert ulps(y1, float(mp_map_value(h, y0, y1))) <= 8
 
 
 def test_evaluate_residual_evaluations_on_draws(monkeypatch):
@@ -531,7 +532,7 @@ def test_evaluate_residual_evaluations_on_draws(monkeypatch):
     counted = count_residual_calls(monkeypatch)
     for h, y0 in points:
         evaluate(h, y0)
-    assert counted[0] == 3259
+    assert counted[0] == 3176
 
 
 # Newton reached the residual tolerance on these, then its step rounded back
@@ -598,7 +599,7 @@ def test_a_map_value_past_the_former_end_of_the_doubling_ladder():
     # W's double root sits at mu, so y0's terms in the residual are about 1e6
     # and their rounding moves the value by about 1.5e-10 relative
     assert abs(y1 - ref) <= 1e-9 * abs(ref)
-    # a warm scan row steps down as far as the cold ladder climbs
+    # a warm scan row walks down as far as a cold solve does
     y0p = 0.6027
     assert halfmap._evaluate_after(h, y0, y0p, evaluate(h, y0p)) == pytest.approx(y1, rel=1e-9)
     # closer to mu the value leaves the double range: a typed refusal
@@ -626,13 +627,10 @@ def test_zero_trace_positive_determinant_is_spared_the_discriminant_guard():
 
 def test_zero_trace_positive_determinant_has_no_w_root():
     # W.disc = -4*D*a^2 underflows to 0 here and used to read as a double
-    # root at 0, and the integral refused a range across 0
+    # root at 0
     for h in (HalfSystem(1e-150, 0.0, 1e-30), HalfSystem(-1e-150, 0.0, 1e-30),
               HalfSystem(1e-150, 0.0, 1e-30, orientation=BWD)):
         assert h._roots == ()
-        assert halfmap._integral(h, -1.0, 1.0) == 0.0  # odd integrand
-        assert halfmap._integral(h, -1.0, 2.0) == pytest.approx(-math.log(4.0) / 2e-30,
-                                                                rel=1e-15)
     # a = 0 keeps W = D*y^2 and its double root at 0
     assert HalfSystem(0.0, 0.0, 1e-30)._roots == (0.0,)
 

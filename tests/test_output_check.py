@@ -58,12 +58,20 @@ def test_diff_reports_floats_flips_counts_and_unmatched_records(tmp_path, capsys
          {"kind": "crossing", "key": "real 1 FORWARD", "crossing": "x=1.2e-10"},
          {"kind": "crossing", "key": "real 2 FORWARD", "crossing": "NoReturnError: never"},
          {"kind": "zeros", "key": "s", "y0": ["1.0"], "delta_calls": 3},
-         {"kind": "zeros", "key": "gone", "y0": []}]
+         {"kind": "zeros", "key": "gone", "y0": []},
+         {"kind": "map", "key": "a 0", "evaluate": "-1.0", "domain_calls": 11,
+          "evaluate_calls": 12},
+         {"kind": "map", "key": "a 1", "evaluate": "-2.0", "domain_calls": 0,
+          "evaluate_calls": 7}]
     b = [{"kind": "crossing", "key": "real 0 FORWARD",
           "crossing": "CrossingEvent(t=1.0000000000000002, y=-2.0)"},
          {"kind": "crossing", "key": "real 1 FORWARD", "crossing": "x=-3.8e-09"},
          {"kind": "crossing", "key": "real 2 FORWARD", "crossing": "TangencyError: graze"},
-         {"kind": "zeros", "key": "s", "y0": ["1.0"], "delta_calls": 5}]
+         {"kind": "zeros", "key": "s", "y0": ["1.0"], "delta_calls": 5},
+         {"kind": "map", "key": "a 0", "evaluate": "-1.0", "domain_calls": 11,
+          "evaluate_calls": 9},
+         {"kind": "map", "key": "a 1", "evaluate": "-2.0000000000000004", "domain_calls": 0,
+          "evaluate_calls": 6}]
     assert output_check.diff(_write(tmp_path / "a", a), _write(tmp_path / "b", b)) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == [
@@ -73,6 +81,13 @@ def test_diff_reports_floats_flips_counts_and_unmatched_records(tmp_path, capsys
         "  real 0 FORWARD: crossing (1 ulp, 2.22e-16)",
         "  real 1 FORWARD: crossing (0 ulp, 3.92e-09, 1 sign or scale changes)",
         "  real 2 FORWARD: crossing",
+        # the map counts are ints, summed over the records: 19 -> 15
+        "map: 2 records, 2 differ, 0 unmatched",
+        "  evaluate: 1 differ, 1 only in floats (largest 1 ulp, 2.22e-16 scaled; "
+        "0 with a sign or scale change)",
+        "  evaluate_calls: 2 differ, 19 -> 15 in all",
+        "  a 0: evaluate_calls (12 -> 9)",
+        "  a 1: evaluate (1 ulp, 2.22e-16), evaluate_calls (7 -> 6)",
         "zeros: 2 records, 1 differ, 1 unmatched",
         "  delta_calls: 1 differ, 3 -> 5 in all",
         "  s: delta_calls (3 -> 5)",

@@ -11,10 +11,10 @@ holds this file) and writes one JSON object per line, in a fixed order:
   on a fixed list of systems;
 - kind "map": repr of domain, evaluate and derivative at seeded half-system
   points, y0 = lam included, or the error each call raised, and how many
-  residual evaluations the first domain call and evaluate made: calls of
-  halfmap._integral and of the closures halfmap._residual returns (counted
-  by wrapping the module attributes from outside, so any tree can be
-  recorded);
+  residual evaluations the first domain call and evaluate made, as the ints
+  domain_calls and evaluate_calls: calls of halfmap._integral and of the
+  closures halfmap._residual returns (counted by wrapping the module
+  attributes from outside, so any tree can be recorded);
 - kind "zeros": find_crossing_orbits at the default grid on the fixed
   systems above and on seeded random ones, the orbits' kinds and y0 values,
   how many delta calls refining the zeros made (counted by wrapping
@@ -40,9 +40,10 @@ figures for each record that differs only in floats.  A pair on both sides
 of 0, 0 against a nonzero value, or two values of one sign more than a
 factor of 2 apart, is counted as a sign or scale change and left out of the
 ulp figure, where it would read as the count of every double between the
-two (1e-17 against 1e-13 is about 2e16 ulp).  A count field
-(delta_calls, residual_calls) that differs is printed as both values, per
-record and summed over all records.  It uses only the
+two (1e-17 against 1e-13 is about 2e16 ulp).  A count field (an int
+whose name ends in _calls: domain_calls, evaluate_calls, delta_calls,
+residual_calls) that differs is printed as both values, per record and
+summed over all records.  It uses only the
 standard library.
 """
 
@@ -263,7 +264,7 @@ def _map_points(pw, calls):
                    "domain": _outcome(pw.domain, h)}
             calls[0] = 0
             rec["evaluate"] = _outcome(pw.evaluate, h, y0)
-            rec["calls"] = f"domain {domain_calls} evaluate {calls[0]}"
+            rec["domain_calls"], rec["evaluate_calls"] = domain_calls, calls[0]
             rec["derivative"] = _outcome(pw.derivative, h, y0)
             yield rec
 
