@@ -10,8 +10,13 @@ D for traces/determinants, a = a12*b2 - a22*b1 per zone, and
 a crossing period annulus exists exactly when the half-map existence
 conditions (H) hold, sign(TR) = -sign(TL) (both zero allowed), and
 xi0 = xiInf = beta = 0.  One-zone linear centers are reported first as their
-own verdicts.  Floating inputs force a tolerance on the equalities; every
-record carries its raw residual so callers can re-decide.
+own verdicts.  Floating inputs force a tolerance on the equalities, and one
+rule decides each (see _vanishes): the quantity is within tol of the largest
+term it is formed from, with no floor.  A trace's terms are both zones' time
+scales tau = max(|T|, sqrt|D|); beta's add each zone's ordinate scale
+a12*a/tau.  So scaling time, x, y or the offsets by a power of two, an exact
+conjugacy, moves no verdict.  Every record carries its raw residual so
+callers can re-decide.
 """
 
 from __future__ import annotations
@@ -59,19 +64,14 @@ class Classification:
         return [r.name for r in self.records if not r.passed]
 
 
-def _sign_with_tol(x: float, tol: float) -> int:
-    if abs(x) <= tol:
-        return 0
-    return 1 if x > 0.0 else -1
-
-
 def _check_tol(tol: float) -> None:
     if not 0.0 < tol < math.inf:  # also refuses NaN
         raise PreconditionError("tol must be finite and positive")
 
 
-def _scale(*terms: float) -> float:
-    return max(1.0, *(abs(t) for t in terms))
+def _vanishes(x: float, tol: float, *terms: float) -> bool:
+    """Whether x, formed from terms, is finite and within tol of the largest |term|."""
+    return abs(x) <= tol * max(map(abs, terms)) and abs(x) < math.inf
 
 
 def check_H(d: DerivedQuantities) -> tuple[bool, list[ConditionRecord]]:
@@ -94,28 +94,17 @@ def check_H(d: DerivedQuantities) -> tuple[bool, list[ConditionRecord]]:
     return crossing_ok and left_ok and right_ok, records
 
 
-def _centers(d: DerivedQuantities, tol: float) -> tuple[bool, bool]:
-    """(center_left, center_right): the one-zone linear-center clauses."""
-    ts = tol * _scale(d.TL, d.TR)
-    return (abs(d.TL) <= ts and d.DL > 0.0 and d.aL < 0.0,
-            abs(d.TR) <= ts and d.DR > 0.0 and d.aR > 0.0)
-
-
 def sliding_set(p: SystemParams, tol: float = DEFAULT_TOL) -> tuple[float, float] | None:
     """Sliding interval on the switching line, or None when beta vanishes.
 
     Requires aL12 * aR12 > 0.  The interval is open, delimited by the
-    ordinates -bL1/aL12 and -bR1/aR12 (returned sorted).
+    ordinates -bL1/aL12 and -bR1/aR12 (returned sorted); it is classify's,
+    so beta's clause is decided once, by classify's rule.
     """
     _check_tol(tol)
     if p.aL12 * p.aR12 <= 0.0:
         raise PreconditionError("sliding_set requires aL12 * aR12 > 0")
-    beta = p.aL12 * p.bR1 - p.bL1 * p.aR12
-    if abs(beta) <= tol * _scale(p.aL12 * p.bR1, p.bL1 * p.aR12):
-        return None
-    e1 = -p.bL1 / p.aL12
-    e2 = -p.bR1 / p.aR12
-    return (e1, e2) if e1 <= e2 else (e2, e1)
+    return classify(p, tol).sliding
 
 
 def classify(p: SystemParams, tol: float = DEFAULT_TOL) -> Classification:
@@ -124,28 +113,39 @@ def classify(p: SystemParams, tol: float = DEFAULT_TOL) -> Classification:
     d = derive_invariants(p)
     records: list[ConditionRecord] = []
 
-    center_left, center_right = _centers(d, tol)
+    # each zone's time scale; a trace vanishes against the larger of the two
+    tau_l = max(abs(d.TL), math.sqrt(abs(d.DL)))
+    tau_r = max(abs(d.TR), math.sqrt(abs(d.DR)))
+    tl_zero = _vanishes(d.TL, tol, tau_l, tau_r)
+    tr_zero = _vanishes(d.TR, tol, tau_l, tau_r)
+    center_left = tl_zero and d.DL > 0.0 and d.aL < 0.0
+    center_right = tr_zero and d.DR > 0.0 and d.aR > 0.0
     records.append(ConditionRecord("center-left", d.TL, center_left))
     records.append(ConditionRecord("center-right", d.TR, center_right))
 
     h_ok, h_records = check_H(d)
     records.extend(h_records)
-    crossing_ok = d.a12_product > 0.0
 
-    trace_scale = tol * _scale(d.TL, d.TR)
-    s_tl = _sign_with_tol(d.TL, trace_scale)
-    s_tr = _sign_with_tol(d.TR, trace_scale)
+    s_tl = 0.0 if tl_zero else math.copysign(1.0, d.TL)
+    s_tr = 0.0 if tr_zero else math.copysign(1.0, d.TR)
     trace_ok = s_tr == -s_tl
-    records.append(ConditionRecord("trace-balance", float(s_tl + s_tr), trace_ok))
+    records.append(ConditionRecord("trace-balance", s_tl + s_tr, trace_ok))
 
-    xi0_ok = abs(d.xi0) <= tol * _scale(d.aR * d.TL, d.aL * d.TR)
-    xiinf_ok = abs(d.xi_inf) <= tol * _scale(d.TL * d.TL * d.DR, d.TR * d.TR * d.DL)
-    beta_ok = abs(d.beta) <= tol * _scale(p.aL12 * p.bR1, p.bL1 * p.aR12)
+    xi0_ok = _vanishes(d.xi0, tol, d.aR * d.TL, d.aL * d.TR)
+    xiinf_ok = _vanishes(d.xi_inf, tol, d.TL * d.TL * d.DR, d.TR * d.TR * d.DL)
+    # beta's own products both vanish on the canonical lift (bL1 = 0); a12*a/tau,
+    # with |a|/tau the size of W's roots, is each zone's ordinate scale
+    beta_ok = _vanishes(d.beta, tol, p.aL12 * p.bR1, p.bL1 * p.aR12, *(
+        a12 * a / tau for a12, a, tau in ((p.aL12, d.aL, tau_l), (p.aR12, d.aR, tau_r))
+        if tau > 0.0))
     records.append(ConditionRecord("xi0", d.xi0, xi0_ok))
     records.append(ConditionRecord("xi-inf", d.xi_inf, xiinf_ok))
     records.append(ConditionRecord("beta", d.beta, beta_ok))
 
-    sliding = sliding_set(p, tol) if crossing_ok else None
+    sliding = None
+    if d.a12_product > 0.0 and not beta_ok:
+        e1, e2 = -p.bL1 / p.aL12, -p.bR1 / p.aR12
+        sliding = (e1, e2) if e1 <= e2 else (e2, e1)
 
     if center_left:
         verdict = Verdict.LINEAR_CENTER_LEFT

@@ -429,6 +429,8 @@ def _descend(h: HalfSystem, fd, hi: float, fhi: float, step: float) -> float:
             lo, flo = x, fx
             break
         if not fx > -math.inf:   # -inf or nan
+            if fx != fx:   # inf/inf or inf - inf: W(y0), W(x) or their terms overflow
+                raise DomainError("W or the residual exceeds the double range")
             break
         hi, fhi = x, fx
         step *= 2.0
@@ -441,6 +443,8 @@ def _descend(h: HalfSystem, fd, hi: float, fhi: float, step: float) -> float:
                 fr = fd(r)[0]
             except DomainError:
                 break  # endpoint indistinguishable from the root in doubles
+            except ValueError:   # W(y0)/W(r) is not a positive double
+                raise DomainError("W or the residual exceeds the double range") from None
             if not math.isfinite(fr):
                 break
             lo, flo = r, fr
@@ -478,7 +482,10 @@ def evaluate(h: HalfSystem, y0: float) -> float:
     if T == 0.0:  # W is even and q = 0; 0.0 - y0 is 0.0, not -0.0, at y0 = 0
         return 0.0 - y0
     fd = _residual(h, y0)
-    f0 = fd(0.0)[0] if y0 != 0.0 else -h._q   # fd needs v != y0
+    try:
+        f0 = fd(0.0)[0] if y0 != 0.0 else -h._q   # fd needs v != y0
+    except ValueError:   # W(y0)/a^2 is not a positive double
+        raise DomainError("W or the residual exceeds the double range") from None
     if f0 >= 0.0:
         # No root below zero.  At y0 == lam the residual is solver noise and
         # the map value is exactly the endpoint value 0.
@@ -523,7 +530,9 @@ def slope(h: HalfSystem, y0: float, y1: float) -> float:
     """dy1/dy0 = y0*W(y1) / (y1*W(y0)) at the known map value y1 = y(y0).
 
     Differentiating the defining identity in y0 gives this closed form, so a
-    caller that has y1 already pays no second solve.
+    caller that has y1 already pays no second solve.  Where a product or the
+    quotient overflows, the factors are paired as (y0/y1)*(W(y1)/W(y0)), and
+    a slope that is still not a negative double is refused.
     """
     _require_interior(h, y0)
     if y1 >= 0.0:
@@ -531,7 +540,12 @@ def slope(h: HalfSystem, y0: float, y1: float) -> float:
     num, den = y0 * h._w(y1), y1 * h._w(y0)
     if num == 0.0 or den == 0.0:  # W > 0 here, so only an underflow gives 0
         raise DomainError("W underflows at the slope's endpoints")
-    return num / den
+    d = num / den
+    if not -math.inf < d < math.inf:
+        d = (y0 / y1) * (h._w(y1) / h._w(y0))   # an infinite W(y0) reads -0.0 here
+        if not -math.inf < d < 0.0:
+            raise DomainError("the slope exceeds the double range")
+    return d
 
 
 def derivative(h: HalfSystem, y0: float) -> float:

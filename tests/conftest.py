@@ -1,5 +1,6 @@
 """Shared draw helpers, independent quadrature and 40-digit references for the test suite."""
 
+import dataclasses
 import math
 import random
 import struct
@@ -240,6 +241,41 @@ def draw_annulus_params(rng: random.Random) -> SystemParams:
     aR, TR, DR = draw_right_triple(rng)
     k = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
     return annulus_family(aR, TR, DR, k)
+
+
+RAW_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
+
+
+def draw_near_annulus_params(rng: random.Random) -> SystemParams:
+    """An annulus_family member with offset b, one raw entry moved by a relative
+    eps (set to eps where it is 0); b and eps are each 0 half the time, else
+    +-10**U(-14, -1) and +-10**U(-15, -1)."""
+    aR, TR, DR = draw_right_triple(rng)
+    k = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+    b = rng.choice([0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -1.0)])
+    p = annulus_family(aR, TR, DR, k, offset=b)
+    vals = [getattr(p, f) for f in RAW_FIELDS]
+    eps = rng.choice([0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -1.0)])
+    i = rng.randrange(len(vals))
+    vals[i] = vals[i] * (1.0 + eps) if vals[i] != 0.0 else eps
+    return SystemParams(*vals)
+
+
+# The power of 2**j that multiplies each raw entry (aL11, aL12, aL21, aL22,
+# aR11, ..., aR22, bL1, bL2, bR1, bR2) under four exact conjugacies: time
+# t -> t/2**j, x -> 2**j*x, y -> 2**j*y, and (x, y) -> 2**j*(x, y), which
+# scales the offsets only.  No verdict may change under any of them.
+SCALINGS = {"time": (1,) * 12,
+            "x": (0, 1, -1, 0) * 2 + (1, 0) * 2,
+            "y": (0, -1, 1, 0) * 2 + (0, 1) * 2,
+            "offset": (0,) * 8 + (1,) * 4}
+
+
+def scale_params(p: SystemParams, scaling: str, j: int) -> SystemParams:
+    """p under the named conjugacy by 2**j: exact unless an entry leaves the
+    normal double range."""
+    return SystemParams(*(math.ldexp(getattr(p, f), e * j)
+                          for f, e in zip(RAW_FIELDS, SCALINGS[scaling])))
 
 
 VIOLATIONS = ("trace", "xi0", "xi-inf", "beta", "H-crossing")

@@ -11,11 +11,11 @@ import time
 import numpy as np
 
 from pwlannulus import (HalfSystem, Orientation, classify, derivative, domain, exists,
-                        evaluate, halfmap, make_context, oracle_halfmap, to_canonical,
-                        verify_periodic, Verdict)
-from conftest import (CATEGORIES, VIOLATIONS, domain_point, draw_annulus_params,
-                      draw_half_system, draw_violating_params, proper_pv_interval,
-                      quad_pv, sign_of_sum)
+                        evaluate, halfmap, make_context, oracle_halfmap, sliding_set,
+                        to_canonical, verify_periodic, Verdict)
+from conftest import (CATEGORIES, SCALINGS, VIOLATIONS, domain_point, draw_annulus_params,
+                      draw_half_system, draw_near_annulus_params, draw_violating_params,
+                      proper_pv_interval, quad_pv, scale_params, sign_of_sum)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -278,3 +278,28 @@ def test_criterion_12_pv_vs_quadrature():
     elapsed = time.monotonic() - t0
     _report(12, True, elapsed,
             "closed-form integral vs adaptive quadrature: 1000 proper instances to 1e-10")
+
+
+def test_criterion_13_scaling_invariance():
+    rng = random.Random(113)
+    t0 = time.monotonic()
+    systems = [draw_near_annulus_params(rng) for _ in range(500)]
+    systems += [draw_annulus_params(rng) for _ in range(500)]
+    systems += [draw_violating_params(rng, v) for v in VIOLATIONS for _ in range(100)]
+    verdicts = set()
+    for p in systems:
+        cls = classify(p)
+        want = (cls.verdict, cls.failing())
+        verdicts.add(cls.verdict)
+        for scaling in SCALINGS:
+            j = rng.randint(-60, 60)
+            q = scale_params(p, scaling, j)
+            got = classify(q)
+            assert (got.verdict, got.failing()) == want, (p, scaling, j)
+            if q.aL12 * q.aR12 > 0.0:   # one beta decision: sliding_set is classify's
+                assert (sliding_set(q) is None) == got.record("beta").passed
+    assert verdicts == {Verdict.CROSSING_PERIOD_ANNULUS, Verdict.NO_PERIOD_ANNULUS}
+    elapsed = time.monotonic() - t0
+    _report(13, elapsed < 2.0, elapsed,
+            f"verdict and failing clauses unchanged under time, x, y and offset scaling "
+            f"by 2^j, j in [-60, 60]: {len(systems)} systems, 4 scalings each")

@@ -10,7 +10,8 @@ from pwlannulus import (CanonicalizationError, HalfSystem, Orientation, Precondi
                         derive_invariants, from_canonical,
                         make_context, sliding_set, to_canonical, verify_periodic)
 from pwlannulus import displacement, exists
-from conftest import VIOLATIONS, draw_annulus_params, draw_violating_params
+from conftest import (SCALINGS, VIOLATIONS, draw_annulus_params, draw_violating_params,
+                      scale_params)
 
 ANNULUS_CLAUSES = {"H-crossing", "H-left", "H-right", "trace-balance",
                    "xi0", "xi-inf", "beta"}
@@ -166,6 +167,28 @@ def test_classify_scale_invariance(rng):
                 "aL11", "aL12", "aL21", "aL22", "aR11", "aR12", "aR21", "aR22",
                 "bL1", "bL2", "bR1", "bR2")])
             assert classify(scaled).verdict is base
+
+
+def test_classify_readme_pair_off_by_ten_percent_fails_xi0_at_every_scale():
+    # aL 10% off the README pair, xi0 = 0.2: at time scale 2**-20 xi0 shrinks
+    # by 2**-60, and a unit floor under the tolerance let it pass there
+    p = from_canonical(-2.2, -2.0, 4.0, 1.0, 1.0, 1.0)
+    for scaling in SCALINGS:
+        for j in (-60, -20, 0, 20, 60):
+            cls = classify(scale_params(p, scaling, j))
+            assert cls.verdict is Verdict.NO_PERIOD_ANNULUS, (scaling, j)
+            assert set(cls.failing()) & ANNULUS_CLAUSES == {"xi0"}, (scaling, j)
+    assert (classify(scale_params(p, "time", -20)).record("xi0").value
+            == classify(p).record("xi0").value * 2.0 ** -60)
+
+
+def test_classify_fails_a_clause_whose_quantity_overflows():
+    # xi0 = 1e300*(-1e10) - 1*1 overflows to -inf, which a test relative to
+    # its own inf term, aR*TL, passed; every other annulus clause holds
+    cls = classify(from_canonical(1.0, -1e10, 1e20, 1e300, 1.0, 1.0))
+    assert cls.verdict is Verdict.NO_PERIOD_ANNULUS
+    assert set(cls.failing()) & ANNULUS_CLAUSES == {"xi0"}
+    assert cls.record("xi0").value == -math.inf
 
 
 def test_classify_positive_family_with_flow_check(rng):

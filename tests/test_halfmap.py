@@ -362,6 +362,63 @@ def test_zero_trace_and_extreme_a_give_a_value_or_a_typed_error():
                             -2.4594525510158607e-99), 1.0)
 
 
+@pytest.mark.parametrize("h, y0", [
+    # W(y0) overflows to -inf, so the log's argument at f0 is negative
+    (HalfSystem(-4.3982351904510645e+102, -4.574408349120238e+124, 3.984841813948871e+50, BWD),
+     3.3200444737785455e+128),
+    # the rungs sit at -inf, where W overflows
+    (HalfSystem(-3.7935368479725953e+142, 3.873882394680581e+140, 1.6941898356745013e-163, BWD),
+     6.974350694055736e-184),
+    # W(y0) and W at the walk's first point are inf: the residual is nan
+    (HalfSystem(9156.655472689763, 2.1103220834513057e-220, 2.478795137278061e+147),
+     4.4410485801062544e+101),
+])
+def test_an_overflowing_w_or_residual_is_refused_by_name(h, y0):
+    for call in (evaluate, derivative):
+        with pytest.raises(DomainError, match="^W or the residual exceeds the double range$"):
+            call(h, y0)
+
+
+def test_slope_pairs_its_factors_where_a_product_overflows():
+    # T ~ 0: y1 = -y0 and W(y1) = W(y0) ~ 4e232, so y0*W(y1) overflows
+    h = HalfSystem(7.530457575387989e-59, 2.86387606981248e-238, 1.0383911433196737e+74, BWD)
+    assert derivative(h, 1.950914850031521e+79) == -1.0
+    # D = 0: the map value is a double, but W(y0) ~ 3.7e99*3.4e79*1.1e147 is not
+    h = HalfSystem(1.0945975694035082e+147, -3.7085316939768753e+99, 0.0)
+    y0 = 3.365151967316491e+79
+    assert math.isfinite(evaluate(h, y0))
+    with pytest.raises(DomainError, match="^the slope exceeds the double range$"):
+        derivative(h, y0)
+
+
+def test_huge_scales_give_a_value_or_a_typed_error():
+    # a in +-10**U(-150, 150), T in +-10**U(-320, 150), D = 0 or
+    # +-10**U(-320, 150), y0 = 10**U(-320, 150): about one draw in 200 let a
+    # raw ValueError escape where W or the residual overflows, and about one
+    # derivative in 10 was nan or -inf where y0*W(y1) or y1*W(y0) overflows
+    rng = random.Random(5)
+
+    def scale(lo, hi):
+        return rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi)
+
+    values = 0
+    for _ in range(6000):
+        a, T = scale(-150.0, 150.0), scale(-320.0, 150.0)
+        D = rng.choice([0.0, scale(-320.0, 150.0)])
+        h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
+        y0 = 10.0 ** rng.uniform(-320.0, 150.0)
+        for call in (evaluate, derivative):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ConditioningWarning)
+                    y = call(h, y0)
+            except PwlError:
+                continue
+            assert math.isfinite(y), (h, y0)
+            values += 1
+    assert values > 1000
+
+
 def test_lambda_solve_passes_the_ladder_value_on(monkeypatch):
     calls = []
     integral = halfmap._integral

@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+import pwlannulus
+
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "output_check.py"
 _SPEC = importlib.util.spec_from_file_location("output_check", _PATH)
 output_check = importlib.util.module_from_spec(_SPEC)
@@ -93,3 +95,21 @@ def test_diff_reports_floats_flips_counts_and_unmatched_records(tmp_path, capsys
         "  s: delta_calls (3 -> 5)",
         "  unmatched: gone",
     ]
+
+
+def test_scaled_records_key_each_system_by_scaling_and_exponent():
+    recs = list(output_check._scaled_records(pwlannulus))
+    names = [name for name, _ in output_check._systems()]
+    names += [f"near-annulus-{i}" for i in range(100)]
+    assert [r["key"] for r in recs] == [f"{name} {scaling} {j}" for name in names
+                                        for scaling in output_check.SCALINGS
+                                        for j in output_check.SCALE_EXPONENTS]
+    outcomes = {}
+    for r in recs:
+        outcomes.setdefault(r["key"].rsplit(" ", 2)[0], set()).add(
+            (r["verdict"], tuple(r["failing"])))
+    # no verdict moves with scale, except where an entry leaves the normal
+    # double range: t0-tiny-det's DL = 1e-300 underflows at time scale 2**-60
+    assert {name for name, seen in outcomes.items() if len(seen) > 1} == {"t0-tiny-det"}
+    assert {r["verdict"] for r in recs if r["key"].startswith("near-annulus")} == {
+        "crossing-period-annulus", "no-period-annulus"}

@@ -28,7 +28,13 @@ holds this file) and writes one JSON object per line, in a fixed order:
 - kind "crossing": repr of oracle.next_crossing, or the error it raised, on
   seeded zones of each flow branch (complex pair, real roots, double root,
   D = 0, D = T = 0), b = 0 and b != 0, in both directions, one start in
-  five tangential (y0 = b).
+  five tangential (y0 = b);
+- kind "scaled": the classify verdict and failing clause names of the fixed
+  systems above (their Liénard lift) and of 100 seeded near-annulus
+  systems, each under the four exact conjugacies that scale time, x, y or
+  the offsets by 2**j, j in SCALE_EXPONENTS, keyed by system, scaling and j.
+  Such a scaling cannot change the answer, so a record that differs between
+  two trees is a verdict that one of them moved with scale.
 
 Record the parent and the change and diff the two files: identical files
 mean identical outputs, and for the map points identical solver paths.
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -370,6 +377,45 @@ def _crossing_records(pw):
                        "crossing": _outcome(pw.next_crossing, z, y0, direction)}
 
 
+SCALE_EXPONENTS = (-60, -20, 20, 60)
+# the power of 2**j that multiplies each raw entry (aL11, aL12, aL21, aL22,
+# aR11, ..., aR22, bL1, bL2, bR1, bR2) when time is scaled by 2**-j, x or y
+# by 2**j, or (x, y) by 2**j, which scales the offsets only
+SCALINGS = {"time": (1,) * 12,
+            "x": (0, 1, -1, 0) * 2 + (1, 0) * 2,
+            "y": (0, -1, 1, 0) * 2 + (0, 1) * 2,
+            "offset": (0,) * 8 + (1,) * 4}
+
+
+def _near_annulus(pw, rng):
+    """An annulus_family member with a right focus, offset b and one raw entry
+    moved by a relative eps (set to eps where it is 0); b and eps are each 0
+    half the time, else +-10**U(-14, -1) and +-10**U(-15, -1)."""
+    TR = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+    aR, DR = rng.uniform(-3.0, 3.0), TR * TR / 4.0 + rng.uniform(0.1, 2.0)
+    k = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+    b = rng.choice([0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -1.0)])
+    vals = list(dataclasses.astuple(pw.annulus_family(aR, TR, DR, k, offset=b)))
+    eps = rng.choice([0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -1.0)])
+    i = rng.randrange(len(vals))
+    vals[i] = vals[i] * (1.0 + eps) if vals[i] != 0.0 else eps
+    return pw.SystemParams(*vals)
+
+
+def _scaled_records(pw):
+    rng = random.Random(21)
+    systems = [(name, pw.from_canonical(c["aL"], c["TL"], c["DL"], c["aR"], c["TR"], c["DR"],
+                                        c["b"])) for name, c in _systems()]
+    systems += [(f"near-annulus-{i}", _near_annulus(pw, rng)) for i in range(100)]
+    for name, p in systems:
+        vals = dataclasses.astuple(p)
+        for scaling, powers in SCALINGS.items():
+            for j in SCALE_EXPONENTS:
+                cls = pw.classify(pw.SystemParams(*map(math.ldexp, vals, [e * j for e in powers])))
+                yield {"kind": "scaled", "key": f"{name} {scaling} {j}",
+                       "verdict": cls.verdict.value, "failing": cls.failing()}
+
+
 def record(tree: str, out) -> None:
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     import pwlannulus as pw
@@ -385,6 +431,8 @@ def record(tree: str, out) -> None:
     for rec in _sign_records(pw):
         out.write(json.dumps(rec) + "\n")
     for rec in _crossing_records(pw):
+        out.write(json.dumps(rec) + "\n")
+    for rec in _scaled_records(pw):
         out.write(json.dumps(rec) + "\n")
 
 
