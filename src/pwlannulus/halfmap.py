@@ -28,7 +28,7 @@ Everything in that identity except y0 is a per-system constant, fixed when
 a HalfSystem is built (see HalfSystem): W, its discriminant and roots, q,
 the integral's formula branch with that branch's constants (W's
 coefficients, 2D, and aT/(2D) combined with sqrt|disc| as the branch uses
-them, or a*T and T^2 when W is linear), and the rungs of the lower bracket.
+them, or a*T and T^2 when W is linear), and W's largest negative root.
 A solve fixes its y0 terms once as well (W(y0), 2D*y0 - aT, see _residual),
 so each Newton step makes one residual call, which forms W(v) once for both
 the integral and the slope v/W(v).
@@ -55,7 +55,6 @@ from .errors import ConditioningWarning, ConvergenceError, DomainError
 RESIDUAL_TOL = 1e-12   # accepted residual of the defining integral identity
 STEP_TOL = 1e-14       # relative Newton-step floor; polishes past RESIDUAL_TOL
 MU_GUARD = 1e-9        # relative standoff from the upper domain endpoint mu
-BARRIER_SHRINK = 1e-12 # relative offset of the bracket barrier from a W-root
 MAX_ITER = 200
 
 
@@ -70,7 +69,7 @@ class HalfSystem:
 
     Construction keeps the forward triple, W, W.disc, W's real roots, q (None
     when the half-map does not exist), _integral's formula branch with its
-    constants (see _kernel) and the lower bracket's rungs (see _rungs) on
+    constants (see _kernel) and W's largest negative root (see _descend) on
     the instance.
     """
 
@@ -94,7 +93,7 @@ class HalfSystem:
         # written past the frozen __setattr__, as functools.cached_property does
         self.__dict__.update(_triple=(a, T, D), _w=w, _disc=disc, _roots=roots,
                              _q=_q(a, T, D), _kernel=_kernel(a, T, D, w, disc),
-                             _rungs=_rungs(w, roots))
+                             _barrier=max((r for r in roots if r < 0.0), default=-math.inf))
 
     def forward_triple(self) -> tuple[float, float, float]:
         """The equivalent forward triple; backward maps dualize (a,T) -> (-a,-T)."""
@@ -193,25 +192,6 @@ def _kernel(a: float, T: float, D: float, w: WPolynomial, disc: float) -> tuple:
         return "double", _fd_double, c2, c1, c0, two_d, 2.0 * coeff
     s = math.sqrt(disc)
     return "real", _fd_real, c2, c1, c0, two_d, (s, 2.0 * s, coeff)
-
-
-def _rungs(w: WPolynomial, roots: tuple) -> tuple | None:
-    """The lower bracket's rungs above W's largest negative root; None when none.
-
-    The barrier is offset by a relative 1e-6, 1e-9, BARRIER_SHRINK and 1e-15;
-    the rungs stop before the first offset where W no longer reads positive.
-    """
-    negs = [r for r in roots if r < 0.0]
-    if not negs:
-        return None
-    barrier = max(negs)
-    rungs = []
-    for shrink in (1e-6, 1e-9, BARRIER_SHRINK, 1e-15):
-        lo = barrier * (1.0 - shrink)
-        if not w(lo) > 0.0:
-            break
-        rungs.append(lo)
-    return tuple(rungs)
 
 
 @dataclass(frozen=True)
@@ -377,9 +357,10 @@ def domain(h: HalfSystem) -> HalfMapDomain:
     finite right-hand side; T^2 not one with D = 0 (T != 0), where the
     linear-W formula divides by 0 or inf; both terms of W's discriminant
     rounding to 0 (a, D != 0), where its sign, and so mu, is lost, except
-    with T = 0 < D, where W > 0 has no root and mu is inf.  The interval is
-    kept on the HalfSystem instance once solved; a solve that raises keeps
-    nothing.
+    with T = 0 < D, where W > 0 has no root and mu is inf; the discriminant
+    not finite (a, T, D != 0), where it would read as a double root.  The
+    interval is kept on the HalfSystem once solved; a solve that raises
+    keeps nothing.
     """
     dom = h.__dict__.get("_domain")
     if dom is None:
@@ -392,13 +373,15 @@ def domain(h: HalfSystem) -> HalfMapDomain:
             raise DomainError("q exceeds the double range")
         if D == 0.0 and T != 0.0 and not sys.float_info.min <= T * T <= sys.float_info.max:
             raise DomainError("T^2 leaves the normal double range")
+        if 0.0 not in (a, T, D) and not math.isfinite(a * T * (a * T) - 4.0 * D * (a * a)):
+            raise DomainError("W's discriminant exceeds the double range")
         if (a != 0.0 and D != 0.0 and h._disc == 0.0 and 4.0 * D * h._w.c0 == 0.0
                 and not (T == 0.0 and D > 0.0)):  # W = a^2 + D*y^2 > 0 has no root
             raise DomainError("W's discriminant underflows to 0 and loses its sign")
-        pos = [r for r in h._roots if r > 0.0]
+        mu = min((r for r in h._roots if r > 0.0), default=math.inf)
         # an existing map with a < 0 has 4D - T^2 > 0
         lam = _solve_lambda(h) if a < 0.0 and T < 0.0 else 0.0
-        dom = h.__dict__["_domain"] = HalfMapDomain(lam=lam, mu=min(pos) if pos else math.inf)
+        dom = h.__dict__["_domain"] = HalfMapDomain(lam=lam, mu=mu)
     return dom
 
 
@@ -408,55 +391,52 @@ def _descend(h: HalfSystem, fd, hi: float, fhi: float, step: float) -> float:
 
     That point and the last negative one bracket the value; Newton starts
     with the step from the first point walked, or at the bracket's midpoint
-    when that step leaves it.  The walk stops above the first rung
-    (h._rungs): the residual diverges at W's negative root, so the first rung
-    with a positive residual brackets the value, or the deepest computable
-    rung is within a rung's offset of the root, the best double answer.
-    Without rungs the walk runs to the end of the double range.
+    when that step leaves it.  The residual diverges at W's largest negative
+    root b (h._barrier, -inf when none), so a point at or below b becomes
+    b + (hi - b)/16: the walk closes in on b geometrically.  A point on b in
+    rounding stands in for b: fd finds it on a W root, W(x) reads <= 0, the
+    log's argument is no positive double while W(x) is finite, or fd is +inf.
+    With no double between b and hi, hi is the value if within 1e-9*|b| of b.
     """
-    rungs = h._rungs
-    floor = -math.inf if rungs is None else rungs[0] if rungs else 0.0   # no rung: it raises
-    start, x, lo, cand = hi, hi + step, None, math.nan
-    while floor < x:   # as step doubles, x reaches -inf if nothing ends the walk first
+    b = floor = h._barrier
+    start, x, cand = hi, hi + step, math.nan
+    while True:
+        if x <= floor:
+            if floor == -math.inf:   # x is -inf: the walk left the double range
+                raise DomainError("half-map value exceeds the double range")
+            x = max(floor + (hi - floor) / 16.0, math.nextafter(floor, 0.0))
+            if not x < hi:   # no double left between the barrier and hi
+                if hi <= b * (1.0 - 1e-9):
+                    return hi
+                raise ConvergenceError("map value is pinned against the W-root barrier")
         try:
             fx, wx = fd(x)
-        except ValueError:   # W(x) so large that the log's argument rounds to 0
-            break
+        except DomainError:   # "integration endpoint sits on a W root"
+            if b == -math.inf:
+                raise
+            fx = math.inf
+        except (ValueError, ZeroDivisionError):   # the log's argument is not a positive double
+            # read as a residual: -inf without b (W(x) so large that the argument
+            # rounds to 0), else +inf (x on b) or nan where W(x) overflows
+            fx = -math.inf if b == -math.inf else math.inf if math.isfinite(h._w(x)) else math.nan
+        if not fx > -math.inf:   # -inf or nan
+            if fx != fx:   # inf/inf or inf - inf: W(y0), W(x) or their terms overflow
+                raise DomainError("W or the residual exceeds the double range")
+            raise DomainError("half-map value exceeds the double range")
+        if b > -math.inf and (fx == math.inf or wx <= 0.0):   # x stands in for b
+            floor = x
+            continue
         if hi == start:   # the first point walked: Newton steps from it
             d = x / wx
             cand = x - fx / d if d != 0.0 else math.inf
         if fx >= 0.0:
-            lo, flo = x, fx
-            break
-        if not fx > -math.inf:   # -inf or nan
-            if fx != fx:   # inf/inf or inf - inf: W(y0), W(x) or their terms overflow
-                raise DomainError("W or the residual exceeds the double range")
             break
         hi, fhi = x, fx
         step *= 2.0
         x = start + step
-    if lo is None:
-        if rungs is None:
-            raise DomainError("half-map value exceeds the double range")
-        for r in rungs:
-            try:
-                fr = fd(r)[0]
-            except DomainError:
-                break  # endpoint indistinguishable from the root in doubles
-            except ValueError:   # W(y0)/W(r) is not a positive double
-                raise DomainError("W or the residual exceeds the double range") from None
-            if not math.isfinite(fr):
-                break
-            lo, flo = r, fr
-            if fr > 0.0:
-                break
-        if lo is None:
-            raise ConvergenceError("map value is pinned against the W-root barrier")
-        if flo <= 0.0:   # every computable rung leaves the residual negative
-            return lo
-    if not lo < cand < hi:
-        cand = 0.5 * (lo + hi)
-    return _bracketed_newton(fd, lo, hi, flo, fhi, cand)
+    if not x < cand < hi:
+        cand = 0.5 * (x + hi)
+    return _bracketed_newton(fd, x, hi, fx, fhi, cand)
 
 
 def evaluate(h: HalfSystem, y0: float) -> float:
@@ -492,8 +472,8 @@ def evaluate(h: HalfSystem, y0: float) -> float:
         if f0 <= 100.0 * RESIDUAL_TOL:
             return 0.0
         raise DomainError("y0 lies below the half-map domain")
-    # the walk's first point is -max(1, |y0|); with rungs it goes to them at once
-    return _descend(h, fd, 0.0, f0, -max(1.0, abs(y0)) if h._rungs is None else -math.inf)
+    # the walk's first point is -max(1, |y0|); with a negative W root b it is 15b/16
+    return _descend(h, fd, 0.0, f0, -max(1.0, abs(y0)) if h._barrier == -math.inf else -math.inf)
 
 
 def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:

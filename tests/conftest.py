@@ -1,4 +1,4 @@
-"""Shared draw helpers, independent quadrature and 40-digit references for the test suite."""
+"""Shared draw helpers, independent quadrature and 60-digit references for the test suite."""
 
 import dataclasses
 import math
@@ -39,7 +39,10 @@ def quad_pv(h: HalfSystem, y1: float, y0: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# a 40-digit reference of the map value, ulp distances, residual-call counts
+# a 60-digit reference of the map value, ulp distances, residual-call counts
+
+MP_DPS = 60
+
 
 def ulps(x, y):
     def ordered(v):
@@ -77,31 +80,87 @@ def mp_antiderivative(a, T, D):
 
 
 def mp_residual(h, y0):
-    """R(v) = integral_v^{y0} -y/W(y) dy - q to 40 digits, on the closed forms."""
+    """R(v) = integral_v^{y0} -y/W(y) dy - q to MP_DPS digits, on the closed forms."""
     a, T, D = h.forward_triple()
-    with mpmath.workdps(40):
+    with mpmath.workdps(MP_DPS):
         F = mp_antiderivative(a, T, D)
         q = mpmath.mpf(0) if a > 0.0 else (2 * mpmath.pi * T / (mpmath.mpf(D) * mpmath.sqrt(
             4 * mpmath.mpf(D) - mpmath.mpf(T) ** 2)))
         f0 = F(mpmath.mpf(y0))
 
     def R(v):
-        with mpmath.workdps(40):
+        with mpmath.workdps(MP_DPS):
             return f0 - F(mpmath.mpf(v)) - q
     return R
 
 
-def mp_map_value(h, y0, guess):
-    """The map value at y0 to 40 digits: mpmath.findroot on the closed forms.
+def mp_barrier(h):
+    """W's largest negative root to MP_DPS digits, from the exact doubles
+    a, T, D of the forward triple; None when W has none."""
+    a, T, D = h.forward_triple()
+    with mpmath.workdps(MP_DPS):
+        a, T, D = mpmath.mpf(a), mpmath.mpf(T), mpmath.mpf(D)
+        if D == 0:
+            roots = [a / T] if a * T != 0 else []
+        else:
+            disc = (a * T) ** 2 - 4 * D * a * a
+            s = mpmath.sqrt(disc) if disc >= 0 else None
+            roots = [] if s is None else [(a * T - s) / (2 * D), (a * T + s) / (2 * D)]
+        negs = [r for r in roots if r < 0]
+        return max(negs) if negs else None
 
-    The secant starts at guess and guess + max(1/4, |guess|/2**20): mpmath's
-    own second point, guess + 1/4, is guess itself at 40 digits once |guess|
-    passes about 1e39.
+
+def mp_map_value(h, y0):
+    """The map value at y0 to about 45 digits: a bracketed root search on the
+    MP_DPS-digit closed forms (mp_residual), kept above W's largest negative
+    root b.
+
+    The residual decreases in v on v < 0 and diverges at b, so the search
+    runs in p with v = b + |b|*e**p (p <= 0), or v = -e**-p without b, and
+    never leaves (b, 0].  A value closer to b than |b|*1e-48, where W(v)
+    loses its digits, is returned as that bound.
     """
-    R = mp_residual(h, y0)
-    with mpmath.workdps(40):
-        g = mpmath.mpf(guess)
-        return mpmath.findroot(R, (g, g + max(mpmath.mpf(0.25), abs(g) / 2 ** 20)))
+    R, b = mp_residual(h, y0), mp_barrier(h)
+    with mpmath.workdps(MP_DPS):
+        if R(0) >= 0:
+            return mpmath.mpf(0)
+        if b is None:
+            def v(p):
+                return -mpmath.exp(-p)
+            lo = hi = mpmath.mpf(0)   # R(v(lo)) >= 0 > R(v(hi))
+            if R(v(lo)) < 0:
+                lo = -hi - 1
+                while R(v(lo)) < 0:
+                    hi, lo = lo, 2 * lo
+            else:
+                hi = lo + 1
+                while R(v(hi)) >= 0:
+                    lo, hi = hi, 2 * hi
+        else:
+            def v(p):
+                return b - b * mpmath.exp(p)
+            lo, hi, floor = mpmath.mpf(-1), mpmath.mpf(0), -48 * mpmath.log(10)
+            while R(v(lo)) < 0:
+                if lo <= floor:
+                    return v(floor)
+                hi, lo = lo, max(2 * lo, floor)
+        # the Illinois variant of regula falsi: the bracket's end that stays
+        # put twice running has its residual halved, so both ends close in
+        flo, fhi, stays = R(v(lo)), R(v(hi)), 0
+        for _ in range(400):
+            mid = hi - fhi * (hi - lo) / (fhi - flo)
+            if not lo < mid < hi:
+                mid = (lo + hi) / 2
+            fmid = R(v(mid))
+            if fmid >= 0:
+                lo, flo = mid, fmid
+                fhi, stays = (fhi / 2 if stays == 1 else fhi), 1
+            else:
+                hi, fhi = mid, fmid
+                flo, stays = (flo / 2 if stays == -1 else flo), -1
+            if abs(v(lo) - v(hi)) <= abs(v(mid)) * mpmath.mpf(10) ** -45:
+                break
+        return v((lo + hi) / 2)
 
 
 def count_residual_calls(monkeypatch):
@@ -177,6 +236,41 @@ def draw_half_system(rng: random.Random, category: str | None = None,
     h = HalfSystem(a=a, T=T, D=D, orientation=orientation)
     assert exists(h)
     return h
+
+
+NEAR_ROOT_BRANCHES = ("real_det_neg", "real_det_pos", "double", "det_zero")
+
+
+def draw_near_root(rng: random.Random, branch: str) -> tuple[HalfSystem, float]:
+    """(h, y0) whose map value lies near W's largest negative root b.
+
+    a > 0 and, where W's roots share a sign, T < 0, so that W has a negative
+    root: D < 0 (roots of both signs), 0 < D < T^2/4, D = T^2/4 and D = 0;
+    a is scaled by 10**U(-3, 3), and the orientation is drawn.  With D < 0,
+    y0 = mu*(1 - 10**U(-9, -3)); otherwise mu is inf and y0 = |b|*10**U(0, 12),
+    which puts the value from 0.5|b| down to the last bits of b (about 0.03|b|
+    at the double root, where the approach is slowest).
+    """
+    a = rng.uniform(0.2, 3.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+    T = rng.uniform(0.2, 2.5)
+    if branch == "real_det_neg":
+        T, D = rng.choice([-1.0, 1.0]) * T, -rng.uniform(0.1, 2.0) * T * T
+    elif branch == "real_det_pos":
+        T, D = -T, rng.uniform(0.05, 0.9) * T * T / 4.0
+    elif branch == "double":
+        T, D = -T, T * T / 4.0
+    elif branch == "det_zero":
+        T, D = -T, 0.0
+    else:
+        raise ValueError(branch)
+    orientation = rng.choice([Orientation.FORWARD, Orientation.BACKWARD])
+    if orientation is Orientation.BACKWARD:
+        a, T = -a, -T
+    h = HalfSystem(a, T, D, orientation)
+    mu = domain(h).mu
+    if math.isfinite(mu):
+        return h, mu * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0))
+    return h, -h._barrier * 10.0 ** rng.uniform(0.0, 12.0)
 
 
 def domain_point(rng: random.Random, h: HalfSystem, *, lo_frac=0.05, hi_frac=0.9) -> float:

@@ -216,7 +216,7 @@ def test_scan_rows_are_the_map_values_and_delta():
         for h, y, got in ((ISO_LEFT, y0, yl), (ISO_RIGHT, y0 - 0.3, yr)):  # yR not shifted by b
             cold = evaluate(h, y)
             assert abs(got - cold) <= 1e-13 * abs(cold), (h, y)
-            assert ulps(got, float(mp_map_value(h, y, got))) <= 16, (h, y)
+            assert ulps(got, float(mp_map_value(h, y))) <= 16, (h, y)
         assert repr(d) == repr(yr + 0.3 - yl)
     assert record.rows[0] == displacement._row(ctx, record.lo)
 
@@ -345,15 +345,18 @@ def test_scan_rejects_tiny_grid():
 def _rounding_band(h, y0, v):
     """Half-width in y1, around v, of the band in which rounding hides the
     residual's sign: the largest gap between the solver's residual and a
-    40-digit one over 33 doubles spaced 1e-14*|v| around v, over |R'(v)|.
+    60-digit one over 33 doubles spaced 1e-14*|v| around v, over |R'(v)|;
+    None where those doubles reach W's largest negative root, below which
+    the residual is not defined.
 
     A cold solve and a warm one both stop inside this band, so where it is
     wider than 1e-13*|v| they stop at different points of it.
     """
+    xs = [v + k * 1e-14 * abs(v) for k in range(-16, 17)]
+    if xs[0] <= h._barrier:
+        return None
     fd, R = halfmap._residual(h, y0), mp_residual(h, y0)
-    noise = max(abs(float(R(x) - fd(x)[0]))
-                for x in (v + k * 1e-14 * abs(v) for k in range(-16, 17)))
-    return noise * h._w(v) / abs(v)
+    return max(abs(float(R(x) - fd(x)[0])) for x in xs) * h._w(v) / abs(v)
 
 
 def _warm_contexts():
@@ -391,7 +394,7 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
         for h, shift in ((ctx.right, ctx.b), (ctx.left, 0.0)):
             dom = domain(h)
             kind = ("a_zero" if h.a == 0.0 else "even" if h.T == 0.0 else h._kernel[0],
-                    h._rungs is not None,
+                    h._barrier > -math.inf,
                     dom.lam > 0.0, math.isfinite(dom.mu), shift != 0.0)
             prev, values = None, []
             lo, hi = scan_window(ctx)
@@ -415,8 +418,12 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
                     elif prev[0] > dom.lam:
                         fallbacks.add(kind[0])
                 gap = abs(got - want)
-                if gap > 1e-13 * abs(want):   # then within the residual's rounding
-                    assert gap <= 1e-13 * abs(want) + 4.0 * _rounding_band(h, y, want), (h, y)
+                band = _rounding_band(h, y, want) if gap > 1e-13 * abs(want) else 0.0
+                if band is None:   # both within 1e-10*|b| of the value
+                    ref = float(mp_map_value(h, y))
+                    assert max(abs(got - ref), abs(want - ref)) <= 1e-10 * -h._barrier, (h, y)
+                else:   # within the residual's rounding
+                    assert gap <= 1e-13 * abs(want) + 4.0 * band, (h, y)
                 values.append(got)
                 prev = (y, got)
             walked.append(values)
@@ -428,14 +435,13 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
         assert [r.yR for r in rows] == walked[0]
         assert [r.yL for r in rows] == walked[1]
     assert len(warm) > 2000 and raised > 0
-    # the warm start ran on each solved branch, with and without rungs,
-    # with lam > 0, finite mu and b != 0
+    # the warm start ran on each solved branch, with and without a negative
+    # W root, with lam > 0, finite mu and b != 0
     assert {k[:2] for k in warm} == {("complex", False), ("real", True), ("real", False),
                                       ("double", True), ("double", False),
                                       ("linear", True), ("linear", False)}
     assert all(any(k[i] for k in warm) for i in (2, 3, 4))
-    # the closed forms only: the walk brackets the values at W's negative
-    # root with the rungs itself
+    # the closed forms only: the walk itself closes in on W's negative root
     assert fallbacks == {"a_zero", "even"}
 
 
@@ -456,11 +462,13 @@ def test_warm_start_falls_back_where_evaluate_warns_or_raises():
 
 
 def test_warm_start_falls_back_where_its_step_rounds_back_onto_the_last_value():
-    # the tangent step, about -4.4e-16, rounds back onto y1p = -4.640057574815677
+    # the tangent step, about -2.4e-16, rounds back onto y1p = -4.64005757481568,
+    # one ulp above the value and two above W's root -4.640057574815682
     h = HalfSystem(-2.9321567698738864, 0.7125479165243531, 0.05094901631194507, BWD)
-    y0p, y0 = 455352415.355214, 464211411.7707964
+    y0p, y0 = 911257954.5501376, 940732114.0156568
     y1p = evaluate(h, y0p)
-    assert y1p == -4.640057574815677
+    assert y1p == -4.64005757481568
+    assert ulps(y1p, float(mp_map_value(h, y0p))) <= 1
     w = h._w
     assert y1p + y0p * w(y1p) / (y1p * w(y0p)) * (y0 - y0p) == y1p
     assert repr(halfmap._evaluate_after(h, y0, y0p, y1p)) == repr(evaluate(h, y0))

@@ -2,11 +2,14 @@
 
 import importlib.util
 import json
+import math
 import pathlib
+import random
 
 import pytest
 
 import pwlannulus
+from pwlannulus import domain, evaluate
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "output_check.py"
 _SPEC = importlib.util.spec_from_file_location("output_check", _PATH)
@@ -113,3 +116,19 @@ def test_scaled_records_key_each_system_by_scaling_and_exponent():
     assert {name for name, seen in outcomes.items() if len(seen) > 1} == {"t0-tiny-det"}
     assert {r["verdict"] for r in recs if r["key"].startswith("near-annulus")} == {
         "crossing-period-annulus", "no-period-annulus"}
+
+
+def test_barrier_and_wide_map_points():
+    barrier = list(output_check._barrier_points(pwlannulus, random.Random(9)))
+    assert [name for name, *_ in barrier] == [
+        f"barrier {output_check.NEAR_ROOT_BRANCHES[i % 4]} {i}"
+        for i in range(output_check.MAP_POINTS_PER_CATEGORY)]
+    # every W has a negative root b, and 211 of the 400 values lie within
+    # 1e-9*|b| of it (none at the double root, where the approach is slowest)
+    near = 0
+    for _, h, _, pick in barrier:
+        near += evaluate(h, pick(domain(h))) <= h._barrier * (1.0 - 1e-9)
+    assert near == 211
+    wide = list(output_check._wide_points(pwlannulus, random.Random(5)))
+    assert [name for name, *_ in wide] == [f"wide {i}" for i in range(output_check.WIDE_POINTS)]
+    assert all(pick is None and math.isfinite(y0) for _, _, y0, pick in wide)

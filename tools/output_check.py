@@ -14,7 +14,10 @@ holds this file) and writes one JSON object per line, in a fixed order:
   residual evaluations the first domain call and evaluate made, as the ints
   domain_calls and evaluate_calls: calls of halfmap._integral and of the
   closures halfmap._residual returns (counted by wrapping the module
-  attributes from outside, so any tree can be recorded);
+  attributes from outside, so any tree can be recorded).  The points are
+  MAP_POINTS_PER_CATEGORY per category of MAP_CATEGORIES, as many near W's
+  largest negative root ("barrier", see _barrier_points) and WIDE_POINTS
+  spread over the double range ("wide", see _wide_points);
 - kind "zeros": find_crossing_orbits at the default grid on the fixed
   systems above and on seeded random ones, the orbits' kinds and y0 values,
   how many delta calls refining the zeros made (counted by wrapping
@@ -59,6 +62,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -248,32 +252,93 @@ def _map_records(pw):
         yield from _map_points(pw, calls)
 
 
-def _map_points(pw, calls):
-    rng = random.Random(20261018)
+NEAR_ROOT_BRANCHES = ("real_det_neg", "real_det_pos", "double", "det_zero")
+WIDE_POINTS = 2000
+
+
+def _category_points(pw, rng):
+    """(name, h, y0, pick) of MAP_POINTS_PER_CATEGORY half-systems of each
+    category: pick(domain) is lam one time in 20, else uniform on
+    [lam, min(mu, lam + 10*max(1, lam))]; y0, U(0, 5), serves where domain
+    raises."""
     for category in MAP_CATEGORIES:
         for i in range(MAP_POINTS_PER_CATEGORY):
             a, T, D = _triples(rng, category)
             orientation = rng.choice(list(pw.Orientation))
             if orientation is pw.Orientation.BACKWARD:
                 a, T = -a, -T
-            h = pw.HalfSystem(a, T, D, orientation)
-            u, y0 = rng.random(), rng.uniform(0.0, 5.0)  # y0 where there is no domain
-            calls[0] = 0
-            try:
-                d = pw.domain(h)
-            except Exception:  # recorded below
-                pass
-            else:
+            u, y0 = rng.random(), rng.uniform(0.0, 5.0)
+
+            def pick(d, u=u):
                 hi = min(d.mu, d.lam + 10.0 * max(1.0, d.lam))
-                y0 = d.lam if u < 0.05 else d.lam + (u - 0.05) / 0.95 * (hi - d.lam)
-            domain_calls = calls[0]
-            rec = {"kind": "map", "key": f"{category} {i} {h!r}", "y0": repr(y0),
-                   "domain": _outcome(pw.domain, h)}
-            calls[0] = 0
-            rec["evaluate"] = _outcome(pw.evaluate, h, y0)
-            rec["domain_calls"], rec["evaluate_calls"] = domain_calls, calls[0]
-            rec["derivative"] = _outcome(pw.derivative, h, y0)
-            yield rec
+                return d.lam if u < 0.05 else d.lam + (u - 0.05) / 0.95 * (hi - d.lam)
+            yield f"{category} {i}", pw.HalfSystem(a, T, D, orientation), y0, pick
+
+
+def _barrier_points(pw, rng):
+    """Near-root points, as tests/conftest.draw_near_root draws them: a > 0
+    scaled by 10**U(-3, 3) and T < 0 where W's roots share a sign, so that W
+    has a negative root b, on each branch (D < 0, 0 < D < T^2/4, D = T^2/4,
+    D = 0); y0 = mu*(1 - 10**U(-9, -3)) where mu is finite, else
+    |b|*10**U(0, 12), which puts the value down to the last bits of b."""
+    for i in range(MAP_POINTS_PER_CATEGORY):
+        branch = NEAR_ROOT_BRANCHES[i % 4]
+        a = rng.uniform(0.2, 3.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+        T = rng.uniform(0.2, 2.5)
+        if branch == "real_det_neg":
+            T, D = rng.choice([-1.0, 1.0]) * T, -rng.uniform(0.1, 2.0) * T * T
+        elif branch == "real_det_pos":
+            T, D = -T, rng.uniform(0.05, 0.9) * T * T / 4.0
+        else:
+            T, D = -T, (T * T / 4.0 if branch == "double" else 0.0)
+        orientation = rng.choice(list(pw.Orientation))
+        if orientation is pw.Orientation.BACKWARD:
+            a, T = -a, -T
+        h = pw.HalfSystem(a, T, D, orientation)
+        u = rng.uniform(-9.0, -3.0) if branch == "real_det_neg" else rng.uniform(0.0, 12.0)
+
+        def pick(d, u=u, b=max(r for r in h._roots if r < 0.0)):
+            return d.mu * (1.0 - 10.0 ** u) if math.isfinite(d.mu) else -b * 10.0 ** u
+        yield f"barrier {branch} {i}", h, 1.0, pick
+
+
+def _wide_points(pw, rng):
+    """WIDE_POINTS draws over the double range, as in tests/test_halfmap.py's
+    test_huge_scales_give_a_value_or_a_typed_error: a in +-10**U(-150, 150),
+    T in +-10**U(-320, 150), D = 0 or +-10**U(-320, 150), the orientation
+    drawn, y0 = 10**U(-320, 150) whatever the domain."""
+    def scale(lo, hi):
+        return rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi)
+
+    for i in range(WIDE_POINTS):
+        a, T = scale(-150.0, 150.0), scale(-320.0, 150.0)
+        D = rng.choice([0.0, scale(-320.0, 150.0)])
+        h = pw.HalfSystem(a, T, D, orientation=rng.choice(list(pw.Orientation)))
+        yield f"wide {i}", h, 10.0 ** rng.uniform(-320.0, 150.0), None
+
+
+def _map_points(pw, calls):
+    """Map records of (name, h, y0, pick) points: y0 is pick(domain) where
+    pick is given and the domain solves."""
+    points = itertools.chain(_category_points(pw, random.Random(20261018)),
+                             _barrier_points(pw, random.Random(9)),
+                             _wide_points(pw, random.Random(5)))
+    for name, h, y0, pick in points:
+        calls[0] = 0
+        try:
+            d = pw.domain(h)
+        except Exception:  # recorded below
+            pass
+        else:
+            y0 = pick(d) if pick is not None else y0
+        domain_calls = calls[0]
+        rec = {"kind": "map", "key": f"{name} {h!r}", "y0": repr(y0),
+               "domain": _outcome(pw.domain, h)}
+        calls[0] = 0
+        rec["evaluate"] = _outcome(pw.evaluate, h, y0)
+        rec["domain_calls"], rec["evaluate_calls"] = domain_calls, calls[0]
+        rec["derivative"] = _outcome(pw.derivative, h, y0)
+        yield rec
 
 
 def _zero_systems():
