@@ -15,14 +15,14 @@ from .errors import (CanonicalizationError, ConditioningWarning, ContractError,
                      ConvergenceError, DomainError, EmptyDomainError, NoReturnError,
                      PreconditionError, PwlError, SlidingEncounteredError,
                      TangencyError)
-from .halfmap import (HalfMapDomain, HalfSystem, Orientation, WPolynomial, derivative,
+from .halfmap import (HalfMapDomain, HalfSystem, Orientation, derivative,
                       domain, evaluate, exists)
 from .oracle import (CrossingEvent, ZoneFlow, flow, next_crossing, oracle_halfmap,
                      sample_trajectory, verify_periodic)
 from .params import (CanonicalSystem, DerivedQuantities, SystemParams,
                      derive_invariants, from_canonical, to_canonical)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CanonicalSystem", "CanonicalizationError", "Classification",
@@ -32,7 +32,7 @@ __all__ = [
     "EmptyDomainError", "HalfMapDomain", "HalfSystem", "NoReturnError",
     "OrbitKind", "Orientation", "PreconditionError", "PwlError",
     "SlidingEncounteredError", "SystemParams", "TangencyError", "Verdict",
-    "WPolynomial", "ZoneFlow", "annulus_family", "check_H", "classify",
+    "ZoneFlow", "annulus_family", "check_H", "classify",
     "delta", "derivative", "derive_invariants", "domain", "evaluate",
     "exists", "f_value", "find_crossing_orbits", "flow", "from_canonical",
     "make_context", "next_crossing", "oracle_halfmap", "sample_trajectory",

@@ -166,8 +166,8 @@ def annulus_family(a_right: float, trace_right: float, det_right: float,
     carries a crossing period annulus whenever the right half-map exists; a
     nonzero offset breaks exactly the beta clause.
     """
-    if k <= 0.0:
-        raise PreconditionError("k must be positive")
+    if not 0.0 < k < math.inf:   # also a nan k
+        raise PreconditionError("k must be a positive finite real")
     rk = math.sqrt(k)
     return from_canonical(
         a_left=-rk * a_right, trace_left=-rk * trace_right, det_left=k * det_right,

@@ -72,6 +72,8 @@ def make_context(left: HalfSystem, right: HalfSystem, b: float = 0.0) -> Displac
         raise PreconditionError("left half-system must be forward-oriented")
     if right.orientation is not Orientation.BACKWARD:
         raise PreconditionError("right half-system must be backward-oriented")
+    if not math.isfinite(b):
+        raise PreconditionError("the offset b must be a finite real")
     for side, h in (("left", left), ("right", right)):
         if not halfmap.exists(h):
             raise DomainError(f"{side} half-map does not exist")

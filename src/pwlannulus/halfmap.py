@@ -26,7 +26,7 @@ above and whose tangent gives the walk's first step.
 
 Everything in that identity except y0 is a per-system constant, fixed when
 a HalfSystem is built (see HalfSystem): W, its discriminant and roots, q,
-the integral's formula branch with that branch's constants (W's
+the residual's formula branch with that branch's constants (W's
 coefficients, 2D, and aT/(2D) combined with sqrt|disc| as the branch uses
 them, or a*T and T^2 when W is linear), and W's largest negative root.
 A solve fixes its y0 terms once as well (W(y0), 2D*y0 - aT, see _residual),
@@ -67,10 +67,10 @@ class Orientation(enum.Enum):
 class HalfSystem:
     """One zone's reduced triple plus the travel direction through its flow.
 
-    Construction keeps the forward triple, W, W.disc, W's real roots, q (None
-    when the half-map does not exist), _integral's formula branch with its
-    constants (see _kernel) and W's largest negative root (see _descend) on
-    the instance.
+    Construction keeps the forward triple, W's coefficients (see _w), its
+    discriminant and real roots, q (None when the half-map does not exist),
+    the residual's formula branch with its constants (see _kernel) and W's
+    largest negative root (see _descend) on the instance.
     """
 
     a: float
@@ -83,67 +83,51 @@ class HalfSystem:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite real")
         a, T, D = self.a, self.T, self.D
-        w = WPolynomial(c2=D, c1=-a * T, c0=a * a)
+        c2, c1, c0 = coeffs = D, -a * T, a * a
         if self.orientation is Orientation.BACKWARD:
             a, T = -a, -T
-        disc = w.disc
+        # W's discriminant, which the residual branches on.  Values within a few
+        # ulps of zero snap to an exact double root: the parameterizations that
+        # produce them (4D == T*T up to rounding) mean a double root, and the two
+        # regimes on either side are numerically indistinguishable anyway.
+        disc = c1 * c1 - 4.0 * c2 * c0
+        scale = max(c1 * c1, abs(4.0 * c2 * c0))
+        if abs(disc) <= 8.0 * sys.float_info.epsilon * scale:
+            disc = 0.0
         # T = 0 < D, a != 0: W = a^2 + D*y^2 > 0 has no root, whatever its
         # discriminant underflows to
-        roots = () if T == 0.0 < D and a != 0.0 else tuple(w.roots())
+        roots = () if T == 0.0 < D and a != 0.0 else _roots(*coeffs, disc)
         # written past the frozen __setattr__, as functools.cached_property does
-        self.__dict__.update(_triple=(a, T, D), _w=w, _disc=disc, _roots=roots,
-                             _q=_q(a, T, D), _kernel=_kernel(a, T, D, w, disc),
+        self.__dict__.update(_triple=(a, T, D), _coeffs=coeffs, _disc=disc, _roots=roots,
+                             _q=_q(a, T, D), _kernel=_kernel(a, T, D, coeffs, disc),
                              _barrier=max((r for r in roots if r < 0.0), default=-math.inf))
 
     def forward_triple(self) -> tuple[float, float, float]:
         """The equivalent forward triple; backward maps dualize (a,T) -> (-a,-T)."""
         return self._triple
 
+    def _w(self, y: float) -> float:
+        """W(y) = c2*y^2 + c1*y + c0 with c2 = D, c1 = -a*T, c0 = a^2."""
+        c2, c1, c0 = self._coeffs
+        return (c2 * y + c1) * y + c0
 
-@dataclass(frozen=True)
-class WPolynomial:
-    """W(y) = c2*y^2 + c1*y + c0 with c2 = D, c1 = -a*T, c0 = a^2."""
 
-    c2: float
-    c1: float
-    c0: float
-
-    def __call__(self, y: float) -> float:
-        return (self.c2 * y + self.c1) * y + self.c0
-
-    @property
-    def disc(self) -> float:
-        """Discriminant; the integration branches on this same expression.
-
-        Values within a few ulps of zero are snapped to an exact double root:
-        the parameterizations that produce them (4D == T*T up to rounding)
-        mean a double root, and the two regimes on either side are
-        numerically indistinguishable anyway.
-        """
-        raw = self.c1 * self.c1 - 4.0 * self.c2 * self.c0
-        scale = max(self.c1 * self.c1, abs(4.0 * self.c2 * self.c0))
-        if abs(raw) <= 8.0 * sys.float_info.epsilon * scale:
-            return 0.0
-        return raw
-
-    def roots(self) -> list[float]:
-        """Real roots in ascending order (a double root is listed once)."""
-        c2, c1, c0 = self.c2, self.c1, self.c0
-        if c2 == 0.0:
-            if c1 == 0.0:
-                return []
-            return [-c0 / c1]
-        disc = self.disc
-        if disc < 0.0:
-            return []
-        if disc == 0.0:
-            return [-c1 / (2.0 * c2)]
-        sq = math.sqrt(disc)
-        if c0 == 0.0:
-            return sorted([0.0, -c1 / c2])
-        # Citardauq pairing avoids cancellation in the small root.
-        qq = -0.5 * (c1 + math.copysign(sq, c1))
-        return sorted([qq / c2, c0 / qq])
+def _roots(c2: float, c1: float, c0: float, disc: float) -> tuple[float, ...]:
+    """W's real roots in ascending order (a double root is listed once) from the snapped disc."""
+    if c2 == 0.0:
+        if c1 == 0.0:
+            return ()
+        return (-c0 / c1,)
+    if disc < 0.0:
+        return ()
+    if disc == 0.0:
+        return (-c1 / (2.0 * c2),)
+    sq = math.sqrt(disc)
+    if c0 == 0.0:
+        return tuple(sorted([0.0, -c1 / c2]))
+    # Citardauq pairing avoids cancellation in the small root.
+    qq = -0.5 * (c1 + math.copysign(sq, c1))
+    return tuple(sorted([qq / c2, c0 / qq]))
 
 
 def existence_clause(a: float, T: float, D: float) -> bool:
@@ -168,8 +152,8 @@ def _q(a: float, T: float, D: float) -> float | None:
     return val if a == 0.0 else 2.0 * val
 
 
-def _kernel(a: float, T: float, D: float, w: WPolynomial, disc: float) -> tuple:
-    """_integral's formula branch for a forward triple and that branch's constants.
+def _kernel(a: float, T: float, D: float, coeffs: tuple, disc: float) -> tuple:
+    """The residual's formula branch for a forward triple and that branch's constants.
 
     (branch, fd, c2, c1, c0, 2D, k): the branch's name and its residual
     function (see _residual), W's coefficients, 2D, and k, the branch's own
@@ -180,7 +164,7 @@ def _kernel(a: float, T: float, D: float, w: WPolynomial, disc: float) -> tuple:
     """
     if T == 0.0:
         return None
-    c2, c1, c0 = w.c2, w.c1, w.c0
+    c2, c1, c0 = coeffs
     two_d = 2.0 * D
     if D == 0.0:
         return "linear", _fd_linear, c2, c1, c0, two_d, (a, T, a * T, T * T)
@@ -205,18 +189,6 @@ class HalfMapDomain:
 def exists(h: HalfSystem) -> bool:
     """Whether the half-map is defined at all for this triple."""
     return h._q is not None
-
-
-def _integral(h: HalfSystem, y1: float, y0: float) -> float:
-    """integral_{y1}^{y0} -y/W(y) dy where W > 0 on [y1, y0] and a != 0.
-
-    The branch's residual function (see _residual) with q = 0, called as is:
-    a lambda solve calls this once per step, with a new y0 each time.
-    """
-    if y1 == y0:
-        return 0.0
-    _, fd, c2, c1, c0, two_d, k = h._kernel
-    return fd(c2, c1, c0, two_d, k, 0.0, y0, (c2 * y0 + c1) * y0 + c0, two_d * y0 + c1, y1)[0]
 
 
 def _residual(h: HalfSystem, y0: float):
@@ -328,8 +300,8 @@ def _solve_lambda(h: HalfSystem) -> float:
     """
     q, w = h._q, h._w
 
-    def gd(lam):
-        return _integral(h, 0.0, lam) - q, -w(lam)   # slope -lam/W(lam)
+    def gd(lam):   # the residual at map value 0 of a solve at y0 = lam
+        return _residual(h, lam)(0.0)[0], -w(lam)   # slope -lam/W(lam)
 
     hi = 1.0
     for _ in range(MAX_ITER):
@@ -375,7 +347,7 @@ def domain(h: HalfSystem) -> HalfMapDomain:
             raise DomainError("T^2 leaves the normal double range")
         if 0.0 not in (a, T, D) and not math.isfinite(a * T * (a * T) - 4.0 * D * (a * a)):
             raise DomainError("W's discriminant exceeds the double range")
-        if (a != 0.0 and D != 0.0 and h._disc == 0.0 and 4.0 * D * h._w.c0 == 0.0
+        if (a != 0.0 and D != 0.0 and h._disc == 0.0 and 4.0 * D * (a * a) == 0.0
                 and not (T == 0.0 and D > 0.0)):  # W = a^2 + D*y^2 > 0 has no root
             raise DomainError("W's discriminant underflows to 0 and loses its sign")
         mu = min((r for r in h._roots if r > 0.0), default=math.inf)
@@ -465,7 +437,8 @@ def evaluate(h: HalfSystem, y0: float) -> float:
     try:
         f0 = fd(0.0)[0] if y0 != 0.0 else -h._q   # fd needs v != y0
     except ValueError:   # W(y0)/a^2 is not a positive double
-        raise DomainError("W or the residual exceeds the double range") from None
+        raise DomainError("y0 lies on a W root in rounding" if h._w(y0) <= 0.0
+                          else "W or the residual exceeds the double range") from None
     if f0 >= 0.0:
         # No root below zero.  At y0 == lam the residual is solver noise and
         # the map value is exactly the endpoint value 0.

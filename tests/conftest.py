@@ -163,14 +163,15 @@ def mp_map_value(h, y0):
         return v((lo + hi) / 2)
 
 
-def count_residual_calls(monkeypatch):
-    """Count _integral calls and calls of the closures _residual returns."""
-    calls = [0]
-    integral, residual = halfmap._integral, halfmap._residual
+def integral_from_residual(h: HalfSystem, y1: float, y0: float) -> float:
+    """integral_{y1}^{y0} -y/W(y) dy for y1 != y0: the solves' residual, q added back."""
+    return halfmap._residual(h, y0)(y1)[0] + h._q
 
-    def counted(h, y1, y0):
-        calls[0] += 1
-        return integral(h, y1, y0)
+
+def count_residual_calls(monkeypatch):
+    """Count calls of the closures _residual returns: every residual evaluation."""
+    calls = [0]
+    residual = halfmap._residual
 
     def counted_residual(h, y0):
         fd = residual(h, y0)
@@ -180,7 +181,6 @@ def count_residual_calls(monkeypatch):
             return fd(v)
         return counted_fd
 
-    monkeypatch.setattr(halfmap, "_integral", counted)
     monkeypatch.setattr(halfmap, "_residual", counted_residual)
     return calls
 
@@ -293,15 +293,15 @@ def proper_pv_interval(rng: random.Random, h: HalfSystem, *, margin=1e-2):
     Adaptive quadrature can only certify 1e-10 absolute agreement when the
     integrand is far from its poles, so near-singular draws are rejected.
     """
-    w = h._w
-    roots = w.roots()
+    w, (c2, c1, _) = h._w, h._coeffs
+    roots = h._roots
     neg = max(max((r for r in roots if r < 0.0), default=-8.0) * 0.9, -8.0)
     pos = min(min((r for r in roots if r > 0.0), default=8.0) * 0.9, 8.0)
     y1 = rng.uniform(neg, pos)
     y0 = rng.uniform(y1, pos)
     vals = [w(y1), w(y0)]
-    if w.c2 > 0.0:
-        vertex = -w.c1 / (2.0 * w.c2)
+    if c2 > 0.0:
+        vertex = -c1 / (2.0 * c2)
         if y1 <= vertex <= y0:
             vals.append(w(vertex))
     lo, hi = min(vals), max(vals)

@@ -257,5 +257,7 @@ def test_tolerances_must_be_finite_and_positive(tol):
 
 
 def test_annulus_family_requires_positive_k():
-    with pytest.raises(PreconditionError):
-        annulus_family(1.0, 1.0, 1.0, k=-2.0)
+    # nan and inf passed a k <= 0 test, and SystemParams raised a raw ValueError
+    for k in (-2.0, 0.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="^k must be a positive finite real$"):
+            annulus_family(1.0, 1.0, 1.0, k=k)

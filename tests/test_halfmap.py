@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import warnings
 
 import mpmath
@@ -12,8 +13,8 @@ from pwlannulus import (ConditioningWarning, ConvergenceError, DomainError, Half
                         NoReturnError, Orientation, PwlError, derivative, domain, evaluate,
                         exists, halfmap, oracle_halfmap)
 from conftest import (NEAR_ROOT_BRANCHES, count_residual_calls, domain_point, draw_half_system,
-                      draw_near_root, mp_antiderivative, mp_map_value, proper_pv_interval,
-                      quad_pv, sign_of_sum, ulps)
+                      draw_near_root, integral_from_residual, mp_antiderivative,
+                      mp_map_value, proper_pv_interval, quad_pv, sign_of_sum, ulps)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -46,8 +47,8 @@ def test_half_system_refuses_a_non_finite_entry(triple, name):
 def test_w_roots_where_a_squared_underflows():
     # a^2 rounds to 0 while a*T does not: W = y^2 - a*T*y, roots 0 and a*T
     h = HalfSystem(1e-200, 1e100, 1.0)
-    assert h._w.c0 == 0.0
-    assert h._w.roots() == [0.0, 1e-200 * 1e100]
+    assert h._coeffs[2] == 0.0
+    assert h._roots == (0.0, 1e-200 * 1e100)
     with pytest.raises(DomainError, match=r"^a\^2 leaves the normal double range$"):
         domain(h)
 
@@ -67,12 +68,16 @@ def test_q_value_backward_sign_convention():
 # -- principal-value integral -------------------------------------------------
 
 def test_pv_frozen_value():
-    got = halfmap._integral(HalfSystem(-1, 1, 1), 0.0, 1.0)
+    got = integral_from_residual(HalfSystem(-1, 1, 1), 0.0, 1.0)
     assert got == pytest.approx(PV_NEG1_1_1, abs=1e-14)
 
 
-def test_pv_over_an_empty_interval_is_zero():
-    assert halfmap._integral(HalfSystem(-1, 1, 1), 0.5, 0.5) == 0.0
+def test_pv_over_an_empty_interval_is_zero(monkeypatch):
+    # at y0 = 0 the residual over [0, 0] is -q without a call, so with q = 0
+    # the map value is 0
+    counted = count_residual_calls(monkeypatch)
+    assert repr(evaluate(HalfSystem(1, 1, 1), 0.0)) == "0.0"
+    assert counted[0] == 0
 
 
 def test_pv_matches_quadrature_on_proper_draws(rng):
@@ -85,7 +90,7 @@ def test_pv_matches_quadrature_on_proper_draws(rng):
         if interval is None:
             continue
         y1, y0 = interval
-        got = halfmap._integral(h, y1, y0)
+        got = integral_from_residual(h, y1, y0)
         want = quad_pv(h, y1, y0)
         assert got == pytest.approx(want, abs=1e-10)
         checked += 1
@@ -244,7 +249,8 @@ def test_eval_defining_identity_on_draws(rng):
         # near W's negative root one ulp of y1 moves the residual by
         # |y1|/W(y1) * ulp, so the bound floors at that conditioning level
         cond = abs(y1) / h._w(y1) if y1 != 0.0 else 0.0
-        assert abs(halfmap._integral(h, y1, y0) - h._q) <= max(1e-10, 64.0 * eps * cond)
+        residual = halfmap._residual(h, y0)(y1)[0] if y1 != y0 else -h._q
+        assert abs(residual) <= max(1e-10, 64.0 * eps * cond)
 
 
 def test_eval_monotone_decreasing(rng):
@@ -420,6 +426,18 @@ def test_an_overflowing_w_or_residual_is_refused_by_name(h, y0, message):
             call(h, y0)
 
 
+def test_y0_on_a_w_root_in_rounding_is_refused_by_name():
+    # 4D = T^2 within rounding snaps W to a double root at mu; at y0 =
+    # mu*(1 - 1e-9) W reads -8.9e-16, so the residual at 0 takes the log of
+    # a negative W(y0)/a^2
+    h = HalfSystem(1.0, 2.0, 1.0 - 1e-15)
+    y0 = domain(h).mu * (1.0 - 1e-9)
+    assert h._w(y0) < 0.0
+    for call in (evaluate, derivative):
+        with pytest.raises(DomainError, match="^y0 lies on a W root in rounding$"):
+            call(h, y0)
+
+
 def test_slope_pairs_its_factors_where_a_product_overflows():
     # T ~ 0: y1 = -y0 and W(y1) = W(y0) ~ 4e232, so y0*W(y1) overflows
     h = HalfSystem(7.530457575387989e-59, 2.86387606981248e-238, 1.0383911433196737e+74, BWD)
@@ -469,30 +487,29 @@ def test_huge_scales_give_a_value_or_a_typed_error(monkeypatch):
 
 def test_lambda_solve_passes_the_ladder_value_on(monkeypatch):
     calls = []
-    integral = halfmap._integral
+    residual = halfmap._residual
 
-    def counted(h, y1, y0):
+    def counted(h, y0):
         calls.append(y0)
-        return integral(h, y1, y0)
+        return residual(h, y0)
 
-    monkeypatch.setattr(halfmap, "_integral", counted)
+    monkeypatch.setattr(halfmap, "_residual", counted)
     lam = domain(HalfSystem(-1.0, -1.0, 1.0)).lam
     assert len(calls) == 11
     assert lam == float.fromhex("0x1.85f19dccdda20p+3")
 
 
 def _integral_reference(h, y1, y0):
-    """The per-call _integral that derived every branch constant on each call."""
-    if y1 == y0:
-        return 0.0
+    """integral_{y1}^{y0} -y/W(y) dy, y1 != y0, deriving every branch
+    constant on each call, as the integral did before they were kept."""
     a, T, D = h._triple
-    w = h._w
+    w, (c2, c1, _) = h._w, h._coeffs
     if D == 0.0:
         return (y0 - y1) / (a * T) + math.log((a - T * y0) / (a - T * y1)) / (T * T)
     lead = -math.log(w(y0) / w(y1)) / (2.0 * D)
-    coeff = -w.c1 / (2.0 * w.c2)
-    u0 = 2.0 * w.c2 * y0 + w.c1
-    u1 = 2.0 * w.c2 * y1 + w.c1
+    coeff = -c1 / (2.0 * c2)
+    u0 = 2.0 * c2 * y0 + c1
+    u1 = 2.0 * c2 * y1 + c1
     disc = h._disc
     if disc < 0.0:
         s = math.sqrt(-disc)
@@ -535,29 +552,14 @@ def _branch_triple(rng, branch):
     return a, T, rng.choice([-1.0, 1.0]) * T * T / 4.0 * rng.uniform(1e-6, 0.999)
 
 
-def test_integral_repeats_the_per_call_reference_bitwise():
-    rng = random.Random(9)
-    seen = set()
-    for branch in BRANCHES:
-        for _ in range(300):
-            a, T, D = _branch_triple(rng, branch)
-            h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
-            seen.add(h._kernel[0])
-            ys = [rng.uniform(-20.0, 20.0) for _ in range(4)] + list(h._roots) + [0.0]
-            for y1 in ys:
-                for y0 in ys:
-                    assert (_integral_outcome(halfmap._integral, h, y1, y0)
-                            == _integral_outcome(_integral_reference, h, y1, y0))
-    assert seen == set(BRANCHES)
-
-
 def test_residual_closure_repeats_the_integral_and_slope_bitwise():
-    # fd(v) = (I(v, y0) - q, W(v)) with y0's terms bound once; its slope is v/W(v)
+    # fd(v) = (I(v, y0) - q, W(v)) with y0's terms bound once; its slope is
+    # v/W(v).  A lambda solve at lam takes fd's value at v = 0 with y0 = lam.
     rng = random.Random(10)
     seen = set()
     for branch in BRANCHES:
         checked = 0
-        while checked < 150:
+        while checked < 300:
             a, T, D = _branch_triple(rng, branch)
             h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
             if not exists(h):
@@ -576,7 +578,7 @@ def test_residual_closure_repeats_the_integral_and_slope_bitwise():
                         return f, v / wv
 
                     def reference():
-                        return halfmap._integral(h, v, y0) - q, v / w(v)
+                        return _integral_reference(h, v, y0) - q, v / w(v)
 
                     assert _integral_outcome(fused) == _integral_outcome(reference)
             checked += 1
@@ -761,6 +763,81 @@ def test_zero_trace_positive_determinant_has_no_w_root():
         assert h._roots == ()
     # a = 0 keeps W = D*y^2 and its double root at 0
     assert HalfSystem(0.0, 0.0, 1e-30)._roots == (0.0,)
+
+
+class _WReference:
+    """W(y) = c2*y^2 + c1*y + c0 as a frozen object formed it before
+    HalfSystem kept its constants: a copy of its call, snapped discriminant
+    and roots, the discriminant formed again inside roots()."""
+
+    def __init__(self, c2, c1, c0):
+        self.c2, self.c1, self.c0 = c2, c1, c0
+
+    def __call__(self, y):
+        return (self.c2 * y + self.c1) * y + self.c0
+
+    @property
+    def disc(self):
+        raw = self.c1 * self.c1 - 4.0 * self.c2 * self.c0
+        scale = max(self.c1 * self.c1, abs(4.0 * self.c2 * self.c0))
+        if abs(raw) <= 8.0 * sys.float_info.epsilon * scale:
+            return 0.0
+        return raw
+
+    def roots(self):
+        c2, c1, c0 = self.c2, self.c1, self.c0
+        if c2 == 0.0:
+            if c1 == 0.0:
+                return []
+            return [-c0 / c1]
+        disc = self.disc
+        if disc < 0.0:
+            return []
+        if disc == 0.0:
+            return [-c1 / (2.0 * c2)]
+        sq = math.sqrt(disc)
+        if c0 == 0.0:
+            return sorted([0.0, -c1 / c2])
+        qq = -0.5 * (c1 + math.copysign(sq, c1))
+        return sorted([qq / c2, c0 / qq])
+
+
+def _w_draws(rng):
+    """(a, T, D) triples: the 4D = T^2 snap band, D = 0, a = 0 or a^2
+    underflowing (c0 = 0), terms of W's discriminant that underflow, and the wide
+    scales of test_huge_scales_give_a_value_or_a_typed_error."""
+    def scale(lo, hi):
+        return rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi)
+
+    eps = sys.float_info.epsilon
+    for _ in range(2000):
+        a, T = scale(-3.0, 3.0), scale(-3.0, 3.0)
+        yield a, T, T * T / 4.0 * (1.0 + rng.randint(-24, 24) * eps)   # the snap band
+        yield a, T, 0.0
+        yield rng.choice([0.0, scale(-320.0, -162.0)]), scale(-3.0, 150.0), scale(-3.0, 3.0)
+        yield scale(-170.0, -100.0), scale(-320.0, -100.0), scale(-320.0, -100.0)
+        yield a, 0.0, scale(-3.0, 3.0)
+        yield (scale(-150.0, 150.0), scale(-320.0, 150.0),
+               rng.choice([0.0, scale(-320.0, 150.0)]))
+
+
+def test_kept_w_constants_repeat_the_frozen_object_bitwise():
+    rng = random.Random(25)
+    seen = set()
+    for a, T, D in _w_draws(rng):
+        h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
+        ref = _WReference(D, -a * T, a * a)
+        roots = () if T == 0.0 < D and a != 0.0 else tuple(ref.roots())
+        assert repr(h._disc) == repr(ref.disc), (a, T, D)
+        assert repr(h._roots) == repr(roots), (a, T, D)
+        assert repr(h._barrier) == repr(max((r for r in roots if r < 0.0), default=-math.inf))
+        wide = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320.0, 150.0)
+        ys = list(roots) + [0.0, -0.0, rng.uniform(-5.0, 5.0), wide]
+        for y in ys:
+            assert repr(h._w(y)) == repr(ref(y)), (a, T, D, y)
+        seen.add("zero_disc" if ref.disc == 0.0 else "c2_zero" if D == 0.0
+                 else "c0_zero" if a * a == 0.0 else "other")
+    assert seen == {"zero_disc", "c2_zero", "c0_zero", "other"}
 
 
 def test_w_positive_between_images(rng):

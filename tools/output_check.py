@@ -12,9 +12,10 @@ holds this file) and writes one JSON object per line, in a fixed order:
 - kind "map": repr of domain, evaluate and derivative at seeded half-system
   points, y0 = lam included, or the error each call raised, and how many
   residual evaluations the first domain call and evaluate made, as the ints
-  domain_calls and evaluate_calls: calls of halfmap._integral and of the
-  closures halfmap._residual returns (counted by wrapping the module
-  attributes from outside, so any tree can be recorded).  The points are
+  domain_calls and evaluate_calls: calls of the closures halfmap._residual
+  returns, and of halfmap._integral in a tree that has one (counted by
+  wrapping the module attributes from outside, so any tree can be
+  recorded).  The points are
   MAP_POINTS_PER_CATEGORY per category of MAP_CATEGORIES, as many near W's
   largest negative root ("barrier", see _barrier_points) and WIDE_POINTS
   spread over the double range ("wide", see _wide_points);
@@ -219,10 +220,10 @@ MAP_CATEGORIES = ("a_neg_complex", "a_neg_lam", "a_zero", "a_pos_complex", "a_po
 @contextlib.contextmanager
 def _residual_calls(hm):
     """[count] of residual evaluations while the block runs, on any tree:
-    calls of halfmap._integral, and of the closures halfmap._residual returns
-    where the tree has it."""
+    calls of the closures halfmap._residual returns, and of halfmap._integral,
+    each where the tree has it."""
     calls = [0]
-    integral, residual = hm._integral, getattr(hm, "_residual", None)
+    integral, residual = getattr(hm, "_integral", None), getattr(hm, "_residual", None)
 
     def counted(h, y1, y0):
         calls[0] += 1
@@ -236,13 +237,15 @@ def _residual_calls(hm):
             return fd(v)
         return counted_fd
 
-    hm._integral = counted
+    if integral is not None:
+        hm._integral = counted
     if residual is not None:
         hm._residual = counted_residual
     try:
         yield calls
     finally:
-        hm._integral = integral
+        if integral is not None:
+            hm._integral = integral
         if residual is not None:
             hm._residual = residual
 
