@@ -552,6 +552,29 @@ def _branch_triple(rng, branch):
     return a, T, rng.choice([-1.0, 1.0]) * T * T / 4.0 * rng.uniform(1e-6, 0.999)
 
 
+def test_integral_repeats_the_per_call_reference_bitwise():
+    # the integral part of fd at every (y1, y0) pair of the grid, y1 = y0
+    # included; y1 = 0 is the lambda solve's residual _residual(h, lam)(0.0)[0]
+    rng = random.Random(9)
+    seen = set()
+    for branch in BRANCHES:
+        checked = 0
+        while checked < 300:
+            a, T, D = _branch_triple(rng, branch)
+            h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
+            q = h._q
+            if q is None:   # no map, so no solve and no residual
+                continue
+            seen.add(h._kernel[0])
+            checked += 1
+            ys = [rng.uniform(-20.0, 20.0) for _ in range(4)] + list(h._roots) + [0.0]
+            for y1 in ys:
+                for y0 in ys:
+                    assert (_integral_outcome(lambda: halfmap._residual(h, y0)(y1)[0])
+                            == _integral_outcome(lambda: _integral_reference(h, y1, y0) - q))
+    assert seen == set(BRANCHES)
+
+
 def test_residual_closure_repeats_the_integral_and_slope_bitwise():
     # fd(v) = (I(v, y0) - q, W(v)) with y0's terms bound once; its slope is
     # v/W(v).  A lambda solve at lam takes fd's value at v = 0 with y0 = lam.
