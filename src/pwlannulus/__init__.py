@@ -11,10 +11,9 @@ from .classifier import (Classification, ConditionRecord, Verdict, annulus_famil
 from .displacement import (CrossingOrbit, DisplacementContext, OrbitKind, delta, f_value,
                            find_crossing_orbits, make_context, sign_delta_prime_at_zero,
                            sign_delta_second_at_critical)
-from .errors import (CanonicalizationError, ConditioningWarning, ContractError,
-                     ConvergenceError, DomainError, EmptyDomainError, NoReturnError,
-                     PreconditionError, PwlError, SlidingEncounteredError,
-                     TangencyError)
+from .errors import (CanonicalizationError, ContractError, ConvergenceError, DomainError,
+                     EmptyDomainError, NoReturnError, PreconditionError, PwlError,
+                     SlidingEncounteredError, TangencyError)
 from .halfmap import (HalfMapDomain, HalfSystem, Orientation, derivative,
                       domain, evaluate, exists)
 from .oracle import (CrossingEvent, ZoneFlow, flow, next_crossing, oracle_halfmap,
@@ -22,12 +21,12 @@ from .oracle import (CrossingEvent, ZoneFlow, flow, next_crossing, oracle_halfma
 from .params import (CanonicalSystem, DerivedQuantities, SystemParams,
                      derive_invariants, from_canonical, to_canonical)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CanonicalSystem", "CanonicalizationError", "Classification",
-    "ConditionRecord", "ConditioningWarning", "ContractError",
-    "ConvergenceError", "CrossingEvent", "CrossingOrbit",
+    "ConditionRecord", "ContractError", "ConvergenceError",
+    "CrossingEvent", "CrossingOrbit",
     "DerivedQuantities", "DisplacementContext", "DomainError",
     "EmptyDomainError", "HalfMapDomain", "HalfSystem", "NoReturnError",
     "OrbitKind", "Orientation", "PreconditionError", "PwlError",

@@ -120,7 +120,10 @@ def parse_config(argv) -> argparse.Namespace:
 def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _CliInputError(f"{where} must be a number")
-    f = float(value)
+    try:
+        f = float(value)
+    except OverflowError:   # an int beyond the double range
+        f = math.inf
     if not math.isfinite(f):
         raise _CliInputError(f"{where} must be finite")
     return f
@@ -132,7 +135,7 @@ def _load_params(path: str) -> SystemParams:
             data = json.load(fh)
     except OSError as exc:
         raise _CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also too many digits, not UTF-8, too deep
         raise _CliInputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _CliInputError("the parameter file must hold a JSON object")

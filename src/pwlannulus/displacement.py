@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import halfmap
+from .classifier import DEFAULT_TOL, _vanishes
 from .errors import ContractError, DomainError, EmptyDomainError, PreconditionError
 from .halfmap import HalfSystem, Orientation
 
@@ -50,7 +51,8 @@ class CrossingOrbit:
 
 @dataclass(frozen=True)
 class DisplacementContext:
-    """Both half-systems, the offset, the common domain and the F coefficients."""
+    """Both half-systems, the offset, the common domain and the F coefficients,
+    each 0 where classify's zero test finds it vanishes (see _difference)."""
 
     left: HalfSystem
     right: HalfSystem
@@ -85,10 +87,15 @@ def make_context(left: HalfSystem, right: HalfSystem, b: float = 0.0) -> Displac
         left=left, right=right, b=b,
         lam=max(dl.lam, dr.lam + b),
         mu=min(dl.mu, dr.mu + b),
-        c0=aR * aL * (aR * TL - aL * TR),
-        c1=aR * TR * DL - aL * TL * DR,
-        c2=aL * aL * DR - aR * aR * DL,
+        c0=aR * aL * _difference(aR * TL, aL * TR),
+        c1=_difference(aR * TR * DL, aL * TL * DR),
+        c2=_difference(aL * aL * DR, aR * aR * DL),
     )
+
+
+def _difference(p: float, q: float) -> float:
+    """p - q, or 0 where classify's zero test finds it vanishes against p and q."""
+    return 0.0 if _vanishes(p - q, DEFAULT_TOL, p, q) else p - q
 
 
 class ScanRow(NamedTuple):
@@ -196,24 +203,22 @@ def scan(ctx: DisplacementContext, grid_n: int, *,
          span: float | None = None) -> ScanRecord:
     """Solve each half-map once per grid point of the scan window.
 
-    The first row is _row's cold solves.  Each later row solves the right
-    map, then the left, by the walk that brackets a cold solve, started from
-    the same map's value on the row before (halfmap._evaluate_after), with
-    about half the residual evaluations.  A warm value is a cold evaluate's
-    within the Newton stop, or within the residual's rounding where that is
-    wider, and raises the same error where evaluate raises.
+    Each row solves the right map, then the left, by the walk that brackets
+    a cold solve, started from the same map's value on the row before
+    (halfmap._evaluate_after), with about half the residual evaluations;
+    row 0 has no row before and solves cold, as _row does.  A warm value is
+    a cold evaluate's within the Newton stop, or within the residual's
+    rounding where that is wider, and raises the same error where evaluate
+    raises.
     """
     if grid_n < 2:
         raise PreconditionError("grid_n must be at least 2")
     lo, hi = scan_window(ctx, span=span)
     step = (hi - lo) / grid_n
-    ys = [lo + i * step for i in range(grid_n)]
     left, right, b = ctx.left, ctx.right, ctx.b
     after = halfmap._evaluate_after
-    row = _row(ctx, ys[0])
-    rows = [row]
-    y0p, yl, yr = row.y0, row.yL, row.yR
-    for y0 in ys[1:]:
+    rows, y0p, yl, yr = [], math.nan, math.nan, math.nan
+    for y0 in (lo + i * step for i in range(grid_n)):
         yr = after(right, y0 - b, y0p - b, yr)
         yl = after(left, y0, y0p, yl)
         rows.append(ScanRow(y0, yl, yr, yr + b - yl))

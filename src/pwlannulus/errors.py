@@ -1,4 +1,4 @@
-"""Exception types and warnings shared across the package."""
+"""Exception types shared across the package."""
 
 
 class PwlError(Exception):
@@ -44,7 +44,3 @@ class SlidingEncounteredError(PwlError):
 
 class ConvergenceError(PwlError):
     """Raised when an iterative solver exhausts its budget."""
-
-
-class ConditioningWarning(UserWarning):
-    """Emitted when a request is numerically ill-conditioned and was capped."""

@@ -45,16 +45,14 @@ from __future__ import annotations
 import enum
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import ConditioningWarning, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
-# Solver and conditioning constants.
+# Solver constants.
 RESIDUAL_TOL = 1e-12   # accepted residual of the defining integral identity
 STEP_TOL = 1e-14       # relative Newton-step floor; polishes past RESIDUAL_TOL
-MU_GUARD = 1e-9        # relative standoff from the upper domain endpoint mu
 MAX_ITER = 200
 
 
@@ -413,15 +411,29 @@ def _descend(h: HalfSystem, fd, hi: float, fhi: float, step: float) -> float:
 
 def evaluate(h: HalfSystem, y0: float) -> float:
     """Half-map value y1 <= 0 at y0, solving the defining integral identity."""
+    return _evaluate_after(h, y0, math.nan, math.nan)
+
+
+def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:
+    """evaluate(h, y0), warm-started from y1p, the map value at some y0p < y0.
+
+    Cold and warm solves make the same checks here: the domain, a finite y0
+    in [lam, mu), and the closed forms a = 0 and T = 0.  The map is strictly
+    decreasing, so y1p is an upper bracket that costs no evaluation, and the
+    walk down from it (see _descend) first steps to the tangent
+    y1p + slope*(y0 - y0p), slope's closed form at (y0p, y1p); the value is
+    the cold solve's within the Newton stop, or within the residual's
+    rounding where that is wider.  The solve walks cold from 0 without a
+    usable previous value (y0p <= lam or y1p >= 0; evaluate passes nan),
+    where W(y0) reads <= 0 (the cold residual at 0 refuses such a y0), and
+    where the tangent is not a finite double below y1p: a nan or infinite
+    step, or one that rounds back onto y1p.
+    """
     dom = domain(h)
     if not math.isfinite(y0):
         raise DomainError("y0 must be finite")
     if y0 < dom.lam or y0 >= dom.mu:
         raise DomainError(f"y0={y0} outside the domain [{dom.lam}, {dom.mu})")
-    if math.isfinite(dom.mu) and y0 > dom.mu * (1.0 - MU_GUARD):
-        warnings.warn("y0 is too close to the upper domain endpoint; capped",
-                      ConditioningWarning, stacklevel=2)
-        y0 = dom.mu * (1.0 - MU_GUARD)
     a, T, D = h._triple
     if a == 0.0:
         try:
@@ -434,10 +446,16 @@ def evaluate(h: HalfSystem, y0: float) -> float:
     if T == 0.0:  # W is even and q = 0; 0.0 - y0 is 0.0, not -0.0, at y0 = 0
         return 0.0 - y0
     fd = _residual(h, y0)
+    w = h._w
+    if dom.lam < y0p < y0 and y1p < 0.0 and w(y0) > 0.0:
+        den = y1p * w(y0p)
+        step = y0p * w(y1p) / den * (y0 - y0p) if den != 0.0 else 0.0
+        if -math.inf < y1p + step < y1p:
+            return _descend(h, fd, y1p, -math.inf, step)
     try:
         f0 = fd(0.0)[0] if y0 != 0.0 else -h._q   # fd needs v != y0
     except ValueError:   # W(y0)/a^2 is not a positive double
-        raise DomainError("y0 lies on a W root in rounding" if h._w(y0) <= 0.0
+        raise DomainError("y0 lies on a W root in rounding" if w(y0) <= 0.0
                           else "W or the residual exceeds the double range") from None
     if f0 >= 0.0:
         # No root below zero.  At y0 == lam the residual is solver noise and
@@ -447,30 +465,6 @@ def evaluate(h: HalfSystem, y0: float) -> float:
         raise DomainError("y0 lies below the half-map domain")
     # the walk's first point is -max(1, |y0|); with a negative W root b it is 15b/16
     return _descend(h, fd, 0.0, f0, -max(1.0, abs(y0)) if h._barrier == -math.inf else -math.inf)
-
-
-def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:
-    """evaluate(h, y0) warm-started from y1p, the map value at some y0p < y0.
-
-    The map is strictly decreasing, so y1p is an upper bracket that costs no
-    evaluation, and the walk down from it (see _descend) first steps to the
-    tangent y1p + slope*(y0 - y0p), with slope's closed form at (y0p, y1p).
-    The result is evaluate's within the Newton stop, or where the residual's
-    rounding is wider than that, within its rounding.  Falls back to evaluate
-    without a usable previous value (y0p <= lam or y1p >= 0), at the closed
-    forms a = 0 and T = 0, within MU_GUARD of mu (evaluate warns and caps
-    there), and where the tangent is not a finite double below y1p: a nan or
-    infinite step, or one that rounds back onto y1p.
-    """
-    dom = domain(h)
-    a, T, _ = h._triple
-    w = h._w
-    den = y1p * w(y0p)
-    step = y0p * w(y1p) / den * (y0 - y0p) if den != 0.0 else 0.0
-    if (not (dom.lam < y0p < y0 <= dom.mu * (1.0 - MU_GUARD)) or not y1p < 0.0
-            or a == 0.0 or T == 0.0 or not -math.inf < y1p + step < y1p):
-        return evaluate(h, y0)
-    return _descend(h, _residual(h, y0), y1p, -math.inf, step)
 
 
 def _require_interior(h: HalfSystem, y0: float) -> None:

@@ -241,36 +241,52 @@ def draw_half_system(rng: random.Random, category: str | None = None,
 NEAR_ROOT_BRANCHES = ("real_det_neg", "real_det_pos", "double", "det_zero")
 
 
-def draw_near_root(rng: random.Random, branch: str) -> tuple[HalfSystem, float]:
-    """(h, y0) whose map value lies near W's largest negative root b.
-
-    a > 0 and, where W's roots share a sign, T < 0, so that W has a negative
-    root: D < 0 (roots of both signs), 0 < D < T^2/4, D = T^2/4 and D = 0;
-    a is scaled by 10**U(-3, 3), and the orientation is drawn.  With D < 0,
-    y0 = mu*(1 - 10**U(-9, -3)); otherwise mu is inf and y0 = |b|*10**U(0, 12),
-    which puts the value from 0.5|b| down to the last bits of b (about 0.03|b|
-    at the double root, where the approach is slowest).
-    """
+def _draw_root_system(rng: random.Random, branch: str, sign: float) -> HalfSystem:
+    """a > 0 scaled by 10**U(-3, 3) and T of the given sign where W's roots
+    share one (D >= 0), so that they share T's sign: D < 0 (roots of both
+    signs, T's sign drawn), 0 < D < T^2/4, D = T^2/4 and D = 0; the
+    orientation is drawn."""
     a = rng.uniform(0.2, 3.0) * 10.0 ** rng.uniform(-3.0, 3.0)
     T = rng.uniform(0.2, 2.5)
     if branch == "real_det_neg":
         T, D = rng.choice([-1.0, 1.0]) * T, -rng.uniform(0.1, 2.0) * T * T
     elif branch == "real_det_pos":
-        T, D = -T, rng.uniform(0.05, 0.9) * T * T / 4.0
+        T, D = sign * T, rng.uniform(0.05, 0.9) * T * T / 4.0
     elif branch == "double":
-        T, D = -T, T * T / 4.0
+        T, D = sign * T, T * T / 4.0
     elif branch == "det_zero":
-        T, D = -T, 0.0
+        T, D = sign * T, 0.0
     else:
         raise ValueError(branch)
     orientation = rng.choice([Orientation.FORWARD, Orientation.BACKWARD])
     if orientation is Orientation.BACKWARD:
         a, T = -a, -T
-    h = HalfSystem(a, T, D, orientation)
+    return HalfSystem(a, T, D, orientation)
+
+
+def draw_near_root(rng: random.Random, branch: str) -> tuple[HalfSystem, float]:
+    """(h, y0) whose map value lies near W's largest negative root b.
+
+    W has a negative root: T < 0 in _draw_root_system.  With D < 0,
+    y0 = mu*(1 - 10**U(-9, -3)); otherwise mu is inf and y0 = |b|*10**U(0, 12),
+    which puts the value from 0.5|b| down to the last bits of b (about 0.03|b|
+    at the double root, where the approach is slowest).
+    """
+    h = _draw_root_system(rng, branch, -1.0)
     mu = domain(h).mu
     if math.isfinite(mu):
         return h, mu * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0))
     return h, -h._barrier * 10.0 ** rng.uniform(0.0, 12.0)
+
+
+NEAR_MU_BRANCHES = ("real_det_neg", "real_det_pos", "det_zero")
+
+
+def draw_near_mu(rng: random.Random, branch: str) -> tuple[HalfSystem, float]:
+    """(h, y0) with y0 = mu*(1 - 10**U(-15, -9)) and mu finite: T > 0 in
+    _draw_root_system, on the branches D < 0, 0 < D < T^2/4 and D = 0."""
+    h = _draw_root_system(rng, branch, 1.0)
+    return h, domain(h).mu * (1.0 - 10.0 ** rng.uniform(-15.0, -9.0))
 
 
 def domain_point(rng: random.Random, h: HalfSystem, *, lo_frac=0.05, hi_frac=0.9) -> float:

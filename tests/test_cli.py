@@ -447,6 +447,29 @@ def test_bad_setting(annulus_file, no_env, capsys, flags, env, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+ENTRIES = b'"DL": 4.0, "aL": -2.0, "TR": 1.0, "DR": 1.0, "aR": 1.0, "b": 0.0}'
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"TL": 1e400, ' + ENTRIES, "TL must be finite"),
+    # an int literal beyond the double range reads as 1e400 does
+    (b'{"TL": 1' + b"0" * 400 + b", " + ENTRIES, "TL must be finite"),
+    # more digits than int() takes, nesting deeper than the parser recurses,
+    # and bytes that are not UTF-8
+    (b'{"TL": 1' + b"0" * 5000 + b", " + ENTRIES, None),
+    (b"[" * 100_000, None),
+    (b'\xff\xfe{"TL": 1.0, ' + ENTRIES, None),
+], ids=["float-overflow", "int-overflow", "int-digits", "nesting", "not-utf8"])
+def test_malformed_input_file(tmp_path, no_env, capsys, content, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    assert cli.main(["--input", str(path), "--cmd", "classify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err == f"error: {message}\n" if message else err.startswith(
+        f"error: {path} is not valid JSON: ")
+
+
 def test_help_exits_0(no_env, capsys):
     assert cli.main(["--help"]) == 0
     out, err = capsys.readouterr()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwlannulus import (CanonicalSystem, ConditioningWarning, ContractError, DomainError,
+from pwlannulus import (CanonicalSystem, ContractError, DomainError,
                         EmptyDomainError, HalfSystem, Orientation, OrbitKind,
                         PreconditionError, PwlError, annulus_family, delta, derivative,
                         domain, evaluate, f_value, find_crossing_orbits, from_canonical,
@@ -16,8 +16,8 @@ from pwlannulus import (CanonicalSystem, ConditioningWarning, ContractError, Dom
 from pwlannulus import displacement
 from pwlannulus.displacement import (REFINE_WIDTH, CrossingOrbit, ScanRecord, ScanRow,
                                       orbits_from_scan, scan, scan_window)
-from conftest import (CATEGORIES, count_residual_calls, draw_half_system, mp_map_value,
-                      mp_residual, ulps)
+from conftest import (CATEGORIES, count_residual_calls, draw_annulus_params, draw_half_system,
+                      mp_map_value, mp_residual, ulps)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -377,10 +377,11 @@ def _warm_contexts():
 def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
     # each map walks the grid as scan does; where cold evaluate raises the
     # warm start raises the same class, and the walk goes on from the last
-    # value it has
+    # value it has.  A warm solve's walk starts at the previous value with
+    # its residual not evaluated (-inf); a solve that makes no such walk fell
+    # back to a cold one
     cold = halfmap.evaluate
-    fell = []
-    monkeypatch.setattr(halfmap, "evaluate", lambda h, y0: fell.append(h) or cold(h, y0))
+    walks = _spy_walks(monkeypatch)
     warm, fallbacks, raised = [], set(), 0
     for ctx in _warm_contexts():
         walked = []
@@ -404,9 +405,9 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
                     continue
                 got = want
                 if prev is not None:
-                    fell.clear()
+                    walks.clear()
                     got = halfmap._evaluate_after(h, y, *prev)
-                    if not fell:
+                    if -math.inf in walks:
                         warm.append(kind)
                     elif prev[0] > dom.lam:
                         fallbacks.add(kind[0])
@@ -438,16 +439,32 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
     assert fallbacks == {"a_zero", "even"}
 
 
-def test_warm_start_falls_back_where_evaluate_warns_or_raises():
+def _spy_walks(monkeypatch):
+    """The fhi argument of every halfmap._descend call: -inf for a warm walk."""
+    descend, walks = halfmap._descend, []
+
+    def spy(h, fd, hi, fhi, step):
+        walks.append(fhi)
+        return descend(h, fd, hi, fhi, step)
+
+    monkeypatch.setattr(halfmap, "_descend", spy)
+    return walks
+
+
+def test_warm_start_walks_near_mu_and_refuses_where_evaluate_raises(monkeypatch):
     h = HalfSystem(1.0, 1.0, -1.0)   # mu = (sqrt(5) - 1)/2
     mu = domain(h).mu
-    with pytest.warns(ConditioningWarning):
-        want = evaluate(h, mu * (1.0 - 1e-10))
-    with pytest.warns(ConditioningWarning):
-        assert halfmap._evaluate_after(h, mu * (1.0 - 1e-10), 0.5, evaluate(h, 0.5)) == want
+    # within 1e-9*mu of mu the warm start walks from the previous value, as
+    # anywhere else, and stops within the residual's rounding of a cold solve
+    y0, y1p = mu * (1.0 - 1e-10), evaluate(h, 0.5)
+    want = evaluate(h, y0)
+    walks = _spy_walks(monkeypatch)
+    got = halfmap._evaluate_after(h, y0, 0.5, y1p)
+    assert walks == [-math.inf]
+    assert abs(got - want) <= 1e-13 * abs(want) + 4.0 * _rounding_band(h, y0, want)
     for y0 in (mu, math.nan, math.inf):
         with pytest.raises(DomainError):
-            halfmap._evaluate_after(h, y0, 0.5, evaluate(h, 0.5))
+            halfmap._evaluate_after(h, y0, 0.5, y1p)
     # a = 0 whose value leaves the double range
     overflow = HalfSystem(0.0, 1.0, 0.25000000000025)
     with pytest.raises(DomainError, match="exceeds the double range"):
@@ -504,6 +521,35 @@ def test_sign_prime_degenerate_family_is_zero():
     y0 = ctx.lam + 1.0
     y1 = evaluate(ctx.left, y0)
     assert sign_delta_prime_at_zero(ctx, y0, y1) == 0
+
+
+def test_f_sign_reads_zero_on_annulus_members():
+    # on an annulus F vanishes identically, but its coefficients come out of
+    # differences of products as rounding residues (c1 = -4.4e-16 and
+    # c2 = 4.4e-16 on annulus_family(1, 1, 1, 2)); classify's zero test reads
+    # each as 0, so no row of a member's scan prints a nonzero f_sign
+    rng = random.Random(3)
+    scanned = 0
+    for _ in range(300):
+        canon = to_canonical(draw_annulus_params(rng))
+        ctx = make_context(canon.left, canon.right, canon.b)
+        try:
+            record = scan(ctx, 64)
+        except PwlError:
+            continue
+        assert set(displacement.zero_signs(ctx, record)) <= {None, 0}, canon
+        scanned += 1
+    assert scanned >= 290
+    canon = to_canonical(annulus_family(1.0, 1.0, 1.0, 2.0))
+    ctx = make_context(canon.left, canon.right, canon.b)
+    assert (ctx.c0, ctx.c1, ctx.c2) == (0.0, 0.0, 0.0)
+    y0 = ctx.lam + 1.0
+    y1 = evaluate(ctx.left, y0)
+    assert sign_delta_prime_at_zero(ctx, y0, y1) == 0
+    assert sign_delta_second_at_critical(ctx, y0, y1) == (0, 0)
+    # an isolated orbit's coefficients are no residues and keep their sign
+    ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
+    assert sign_delta_prime_at_zero(ctx, ISO_ZERO, evaluate(ISO_LEFT, ISO_ZERO)) == 1
 
 
 def test_sign_prime_requires_zero():

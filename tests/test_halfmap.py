@@ -9,12 +9,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from pwlannulus import (ConditioningWarning, ConvergenceError, DomainError, HalfSystem,
-                        NoReturnError, Orientation, PwlError, derivative, domain, evaluate,
+from pwlannulus import (ConvergenceError, DomainError, HalfSystem, NoReturnError,
+                        Orientation, PwlError, derivative, domain, evaluate,
                         exists, halfmap, oracle_halfmap)
-from conftest import (NEAR_ROOT_BRANCHES, count_residual_calls, domain_point, draw_half_system,
-                      draw_near_root, integral_from_residual, mp_antiderivative,
-                      mp_map_value, proper_pv_interval, quad_pv, sign_of_sum, ulps)
+from conftest import (NEAR_MU_BRANCHES, NEAR_ROOT_BRANCHES, count_residual_calls, domain_point,
+                      draw_half_system, draw_near_mu, draw_near_root, integral_from_residual,
+                      mp_antiderivative, mp_map_value, proper_pv_interval, quad_pv, sign_of_sum,
+                      ulps)
 
 FWD = Orientation.FORWARD
 BWD = Orientation.BACKWARD
@@ -231,11 +232,35 @@ def test_values_near_the_w_root_barrier_are_within_1e_10_of_it():
         assert abs(y1 - float(ref)) <= 1e-10 * -h._barrier + carried, (h, y0, branch)
 
 
-def test_eval_near_mu_warns_and_caps():
-    h = HalfSystem(1, 3, 2)  # mu = 1/2
-    with pytest.warns(ConditioningWarning):
-        val = evaluate(h, 0.5 * (1.0 - 1e-12))
-    assert val < 0.0
+def test_values_near_mu_are_the_maps_at_the_y0_asked_for():
+    # 150 draws, 50 per finite-mu branch (D < 0, 0 < 4D < T^2, D = 0), with
+    # y0 = mu*(1 - 10**U(-15, -9)), and no warning.  Each value is within
+    # 1e-10 relative of the bracketed reference at that y0 plus 4096 ulp of
+    # y0 carried through the map's slope: W(y0)'s rounding, which grows as y0
+    # nears W's root mu, moves the value by that much.  A refusal is typed
+    rng = random.Random(4242)
+    values = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(150):
+            branch = NEAR_MU_BRANCHES[i % 3]
+            h, y0 = draw_near_mu(rng, branch)
+            try:
+                y1 = evaluate(h, y0)
+            except DomainError:
+                continue
+            ref = mp_map_value(h, y0)
+            with mpmath.workdps(30):
+                a, T, D = map(mpmath.mpf, h.forward_triple())
+
+                def w(y):
+                    return (D * y - a * T) * y + a * a
+
+                slope = float(abs(y0 * w(ref) / (ref * w(mpmath.mpf(y0)))))
+            assert abs(y1 - float(ref)) <= 1e-10 * abs(y1) + slope * 4096 * math.ulp(y0), (
+                h, y0, branch)
+            values += 1
+    assert values >= 140
 
 
 def test_eval_defining_identity_on_draws(rng):
@@ -383,9 +408,7 @@ def test_zero_trace_and_extreme_a_give_a_value_or_a_typed_error():
         y0 = 10.0 ** rng.uniform(-320.0, 5.0)
         for call in (domain, lambda h: evaluate(h, y0), lambda h: derivative(h, y0)):
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ConditioningWarning)
-                    call(h)
+                call(h)
             except PwlError:
                 pass
     # the two underflows behind the raw exceptions such draws used to raise
@@ -429,11 +452,17 @@ def test_an_overflowing_w_or_residual_is_refused_by_name(h, y0, message):
 def test_y0_on_a_w_root_in_rounding_is_refused_by_name():
     # 4D = T^2 within rounding snaps W to a double root at mu; at y0 =
     # mu*(1 - 1e-9) W reads -8.9e-16, so the residual at 0 takes the log of
-    # a negative W(y0)/a^2
+    # a negative W(y0)/a^2.  A warm start there defers to that refusal: a walk
+    # would read every point as W's root
     h = HalfSystem(1.0, 2.0, 1.0 - 1e-15)
     y0 = domain(h).mu * (1.0 - 1e-9)
     assert h._w(y0) < 0.0
-    for call in (evaluate, derivative):
+    y0p = 0.5 * domain(h).mu
+
+    def warm(h, y0):
+        return halfmap._evaluate_after(h, y0, y0p, evaluate(h, y0p))
+
+    for call in (evaluate, derivative, warm):
         with pytest.raises(DomainError, match="^y0 lies on a W root in rounding$"):
             call(h, y0)
 
@@ -473,9 +502,7 @@ def test_huge_scales_give_a_value_or_a_typed_error(monkeypatch):
         for call in (evaluate, derivative):
             counted[0] = 0
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ConditioningWarning)
-                    y = call(h, y0)
+                y = call(h, y0)
             except PwlError:
                 y = None
             assert counted[0] <= 998, (h, y0)

@@ -132,3 +132,14 @@ def test_barrier_and_wide_map_points():
     wide = list(output_check._wide_points(pwlannulus, random.Random(5)))
     assert [name for name, *_ in wide] == [f"wide {i}" for i in range(output_check.WIDE_POINTS)]
     assert all(pick is None and math.isfinite(y0) for _, _, y0, pick in wide)
+
+
+def test_near_mu_map_points():
+    points = list(output_check._near_mu_points(pwlannulus, random.Random(29)))
+    assert [name for name, *_ in points] == [
+        f"near_mu {output_check.NEAR_MU_BRANCHES[i % 3]} {i}"
+        for i in range(output_check.MAP_POINTS_PER_CATEGORY)]
+    # each y0 lies within 1e-9*mu of a finite mu, and none is mu itself
+    for _, h, _, pick in points:
+        mu = domain(h).mu
+        assert mu * (1.0 - 1e-9) <= pick(domain(h)) < mu < math.inf

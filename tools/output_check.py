@@ -13,12 +13,13 @@ holds this file) and writes one JSON object per line, in a fixed order:
   points, y0 = lam included, or the error each call raised, and how many
   residual evaluations the first domain call and evaluate made, as the ints
   domain_calls and evaluate_calls: calls of the closures halfmap._residual
-  returns, and of halfmap._integral in a tree that has one (counted by
-  wrapping the module attributes from outside, so any tree can be
-  recorded).  The points are
+  returns (counted by wrapping the module attribute from outside, so any
+  tree that evaluates its residuals there can be recorded).  The points are
   MAP_POINTS_PER_CATEGORY per category of MAP_CATEGORIES, as many near W's
   largest negative root ("barrier", see _barrier_points) and WIDE_POINTS
   spread over the double range ("wide", see _wide_points);
+- kind "near_mu": the same fields at MAP_POINTS_PER_CATEGORY points within
+  1e-9*mu of a finite mu (see _near_mu_points);
 - kind "zeros": find_crossing_orbits at the default grid on the fixed
   systems above and on seeded random ones, the orbits' kinds and y0 values,
   how many delta calls refining the zeros made (counted by wrapping
@@ -219,15 +220,11 @@ MAP_CATEGORIES = ("a_neg_complex", "a_neg_lam", "a_zero", "a_pos_complex", "a_po
 
 @contextlib.contextmanager
 def _residual_calls(hm):
-    """[count] of residual evaluations while the block runs, on any tree:
-    calls of the closures halfmap._residual returns, and of halfmap._integral,
-    each where the tree has it."""
+    """[count] of residual evaluations while the block runs: calls of the
+    closures halfmap._residual returns, through which every residual is
+    evaluated."""
     calls = [0]
-    integral, residual = getattr(hm, "_integral", None), getattr(hm, "_residual", None)
-
-    def counted(h, y1, y0):
-        calls[0] += 1
-        return integral(h, y1, y0)
+    residual = hm._residual
 
     def counted_residual(h, y0):
         fd = residual(h, y0)
@@ -237,25 +234,24 @@ def _residual_calls(hm):
             return fd(v)
         return counted_fd
 
-    if integral is not None:
-        hm._integral = counted
-    if residual is not None:
-        hm._residual = counted_residual
+    hm._residual = counted_residual
     try:
         yield calls
     finally:
-        if integral is not None:
-            hm._integral = integral
-        if residual is not None:
-            hm._residual = residual
+        hm._residual = residual
 
 
 def _map_records(pw):
     with _residual_calls(pw.halfmap) as calls:
-        yield from _map_points(pw, calls)
+        yield from _map_points(pw, calls, "map",
+                               itertools.chain(_category_points(pw, random.Random(20261018)),
+                                               _barrier_points(pw, random.Random(9)),
+                                               _wide_points(pw, random.Random(5))))
+        yield from _map_points(pw, calls, "near_mu", _near_mu_points(pw, random.Random(29)))
 
 
 NEAR_ROOT_BRANCHES = ("real_det_neg", "real_det_pos", "double", "det_zero")
+NEAR_MU_BRANCHES = ("real_det_neg", "real_det_pos", "det_zero")
 WIDE_POINTS = 2000
 
 
@@ -278,31 +274,49 @@ def _category_points(pw, rng):
             yield f"{category} {i}", pw.HalfSystem(a, T, D, orientation), y0, pick
 
 
+def _root_system(pw, rng, branch, sign):
+    """A half-system as tests/conftest._draw_root_system draws it: a > 0
+    scaled by 10**U(-3, 3), T of the given sign where W's roots share one
+    (D >= 0), so that they share T's sign, on the branch D < 0 (roots of
+    both signs), 0 < D < T^2/4, D = T^2/4 or D = 0; the orientation drawn."""
+    a = rng.uniform(0.2, 3.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+    T = rng.uniform(0.2, 2.5)
+    if branch == "real_det_neg":
+        T, D = rng.choice([-1.0, 1.0]) * T, -rng.uniform(0.1, 2.0) * T * T
+    elif branch == "real_det_pos":
+        T, D = sign * T, rng.uniform(0.05, 0.9) * T * T / 4.0
+    else:
+        T, D = sign * T, (T * T / 4.0 if branch == "double" else 0.0)
+    orientation = rng.choice(list(pw.Orientation))
+    if orientation is pw.Orientation.BACKWARD:
+        a, T = -a, -T
+    return pw.HalfSystem(a, T, D, orientation)
+
+
 def _barrier_points(pw, rng):
-    """Near-root points, as tests/conftest.draw_near_root draws them: a > 0
-    scaled by 10**U(-3, 3) and T < 0 where W's roots share a sign, so that W
-    has a negative root b, on each branch (D < 0, 0 < D < T^2/4, D = T^2/4,
-    D = 0); y0 = mu*(1 - 10**U(-9, -3)) where mu is finite, else
-    |b|*10**U(0, 12), which puts the value down to the last bits of b."""
+    """Near-root points, as tests/conftest.draw_near_root draws them: T < 0
+    in _root_system, so that W has a negative root b, on each branch;
+    y0 = mu*(1 - 10**U(-9, -3)) where mu is finite, else |b|*10**U(0, 12),
+    which puts the value down to the last bits of b."""
     for i in range(MAP_POINTS_PER_CATEGORY):
         branch = NEAR_ROOT_BRANCHES[i % 4]
-        a = rng.uniform(0.2, 3.0) * 10.0 ** rng.uniform(-3.0, 3.0)
-        T = rng.uniform(0.2, 2.5)
-        if branch == "real_det_neg":
-            T, D = rng.choice([-1.0, 1.0]) * T, -rng.uniform(0.1, 2.0) * T * T
-        elif branch == "real_det_pos":
-            T, D = -T, rng.uniform(0.05, 0.9) * T * T / 4.0
-        else:
-            T, D = -T, (T * T / 4.0 if branch == "double" else 0.0)
-        orientation = rng.choice(list(pw.Orientation))
-        if orientation is pw.Orientation.BACKWARD:
-            a, T = -a, -T
-        h = pw.HalfSystem(a, T, D, orientation)
+        h = _root_system(pw, rng, branch, -1.0)
         u = rng.uniform(-9.0, -3.0) if branch == "real_det_neg" else rng.uniform(0.0, 12.0)
 
         def pick(d, u=u, b=max(r for r in h._roots if r < 0.0)):
             return d.mu * (1.0 - 10.0 ** u) if math.isfinite(d.mu) else -b * 10.0 ** u
         yield f"barrier {branch} {i}", h, 1.0, pick
+
+
+def _near_mu_points(pw, rng):
+    """Points within 1e-9*mu of a finite mu, as tests/conftest.draw_near_mu
+    draws them: T > 0 in _root_system on the branches D < 0, 0 < D < T^2/4
+    and D = 0, y0 = mu*(1 - 10**U(-15, -9))."""
+    for i in range(MAP_POINTS_PER_CATEGORY):
+        branch = NEAR_MU_BRANCHES[i % 3]
+        h = _root_system(pw, rng, branch, 1.0)
+        u = rng.uniform(-15.0, -9.0)
+        yield f"near_mu {branch} {i}", h, 1.0, lambda d, u=u: d.mu * (1.0 - 10.0 ** u)
 
 
 def _wide_points(pw, rng):
@@ -320,12 +334,9 @@ def _wide_points(pw, rng):
         yield f"wide {i}", h, 10.0 ** rng.uniform(-320.0, 150.0), None
 
 
-def _map_points(pw, calls):
-    """Map records of (name, h, y0, pick) points: y0 is pick(domain) where
-    pick is given and the domain solves."""
-    points = itertools.chain(_category_points(pw, random.Random(20261018)),
-                             _barrier_points(pw, random.Random(9)),
-                             _wide_points(pw, random.Random(5)))
+def _map_points(pw, calls, kind, points):
+    """Records of the given kind at (name, h, y0, pick) points: y0 is
+    pick(domain) where pick is given and the domain solves."""
     for name, h, y0, pick in points:
         calls[0] = 0
         try:
@@ -335,7 +346,7 @@ def _map_points(pw, calls):
         else:
             y0 = pick(d) if pick is not None else y0
         domain_calls = calls[0]
-        rec = {"kind": "map", "key": f"{name} {h!r}", "y0": repr(y0),
+        rec = {"kind": kind, "key": f"{name} {h!r}", "y0": repr(y0),
                "domain": _outcome(pw.domain, h)}
         calls[0] = 0
         rec["evaluate"] = _outcome(pw.evaluate, h, y0)
