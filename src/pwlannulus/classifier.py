@@ -64,11 +64,6 @@ class Classification:
         return [r.name for r in self.records if not r.passed]
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:  # also refuses NaN
-        raise PreconditionError("tol must be finite and positive")
-
-
 def _vanishes(x: float, tol: float, *terms: float) -> bool:
     """Whether x, formed from terms, is finite and within tol of the largest |term|."""
     return abs(x) <= tol * max(map(abs, terms)) and abs(x) < math.inf
@@ -94,22 +89,22 @@ def check_H(d: DerivedQuantities) -> tuple[bool, list[ConditionRecord]]:
     return crossing_ok and left_ok and right_ok, records
 
 
-def sliding_set(p: SystemParams, tol: float = DEFAULT_TOL) -> tuple[float, float] | None:
+def sliding_set(p: SystemParams) -> tuple[float, float] | None:
     """Sliding interval on the switching line, or None when beta vanishes.
 
     Requires aL12 * aR12 > 0.  The interval is open, delimited by the
     ordinates -bL1/aL12 and -bR1/aR12 (returned sorted); it is classify's,
-    so beta's clause is decided once, by classify's rule.
+    so beta's clause is decided once, by classify's rule at DEFAULT_TOL.
     """
-    _check_tol(tol)
     if p.aL12 * p.aR12 <= 0.0:
         raise PreconditionError("sliding_set requires aL12 * aR12 > 0")
-    return classify(p, tol).sliding
+    return classify(p).sliding
 
 
 def classify(p: SystemParams, tol: float = DEFAULT_TOL) -> Classification:
     """Full verdict with clause records and the sliding interval when present."""
-    _check_tol(tol)
+    if not 0.0 < tol < math.inf:  # also refuses NaN
+        raise PreconditionError("tol must be finite and positive")
     d = derive_invariants(p)
     records: list[ConditionRecord] = []
 

@@ -340,7 +340,9 @@ def _run_portrait(cfg: argparse.Namespace, p: SystemParams, out) -> int:
                 ("right", zr, halfmap.Orientation.BACKWARD, -1.0)):
             try:
                 ev = oracle.next_crossing(zone, y0, direction)
-            except (NoReturnError, TangencyError):
+            except (NoReturnError, TangencyError) as exc:
+                print(f"warning: orbit {i} {leg} leg left out: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
                 continue
             rows += [(i, leg, t, x, y)
                      for t, x, y in oracle.sample_trajectory(zone, 0.0, y0, sgn * ev.t, cfg.grid)]

@@ -239,11 +239,10 @@ def zero_signs(ctx: DisplacementContext, record: ScanRecord) -> list[int | None]
             for r in record.rows]
 
 
-def find_crossing_orbits(ctx: DisplacementContext, grid_n: int = DEFAULT_GRID, *,
-                         span: float | None = None,
-                         annulus_tol: float = ANNULUS_TOL) -> list[CrossingOrbit]:
+def find_crossing_orbits(ctx: DisplacementContext,
+                         grid_n: int = DEFAULT_GRID) -> list[CrossingOrbit]:
     """Zero scan of the displacement over a grid; see orbits_from_scan."""
-    return orbits_from_scan(ctx, scan(ctx, grid_n, span=span), annulus_tol=annulus_tol)
+    return orbits_from_scan(ctx, scan(ctx, grid_n))
 
 
 def orbits_from_scan(ctx: DisplacementContext, record: ScanRecord, *,

@@ -25,10 +25,11 @@ the previous, smaller y0 (see _evaluate_after), which bounds the new one from
 above and whose tangent gives the walk's first step.
 
 Everything in that identity except y0 is a per-system constant, fixed when
-a HalfSystem is built (see HalfSystem): W, its discriminant and roots, q,
-the residual's formula branch with that branch's constants (W's
+a HalfSystem is built (see HalfSystem): W, its discriminant, q, W's roots
+and the residual's formula branch with that branch's constants (W's
 coefficients, 2D, and aT/(2D) combined with sqrt|disc| as the branch uses
-them, or a*T and T^2 when W is linear), and W's largest negative root.
+them, or a*T and T^2 when W is linear), which one ladder on D and the
+discriminant decides together (see _kernel), and W's largest negative root.
 A solve fixes its y0 terms once as well (W(y0), 2D*y0 - aT, see _residual),
 so each Newton step makes one residual call, which forms W(v) once for both
 the integral and the slope v/W(v).
@@ -66,9 +67,10 @@ class HalfSystem:
     """One zone's reduced triple plus the travel direction through its flow.
 
     Construction keeps the forward triple, W's coefficients (see _w), its
-    discriminant and real roots, q (None when the half-map does not exist),
-    the residual's formula branch with its constants (see _kernel) and W's
-    largest negative root (see _descend) on the instance.
+    discriminant, q (None when the half-map does not exist), W's real roots
+    and the residual's formula branch with its constants, both from one
+    ladder (see _kernel), and W's largest negative root (see _descend) on
+    the instance.
     """
 
     a: float
@@ -92,12 +94,10 @@ class HalfSystem:
         scale = max(c1 * c1, abs(4.0 * c2 * c0))
         if abs(disc) <= 8.0 * sys.float_info.epsilon * scale:
             disc = 0.0
-        # T = 0 < D, a != 0: W = a^2 + D*y^2 > 0 has no root, whatever its
-        # discriminant underflows to
-        roots = () if T == 0.0 < D and a != 0.0 else _roots(*coeffs, disc)
+        roots, kernel = _kernel(a, T, D, coeffs, disc)
         # written past the frozen __setattr__, as functools.cached_property does
         self.__dict__.update(_triple=(a, T, D), _coeffs=coeffs, _disc=disc, _roots=roots,
-                             _q=_q(a, T, D), _kernel=_kernel(a, T, D, coeffs, disc),
+                             _q=_q(a, T, D), _kernel=kernel,
                              _barrier=max((r for r in roots if r < 0.0), default=-math.inf))
 
     def forward_triple(self) -> tuple[float, float, float]:
@@ -108,24 +108,6 @@ class HalfSystem:
         """W(y) = c2*y^2 + c1*y + c0 with c2 = D, c1 = -a*T, c0 = a^2."""
         c2, c1, c0 = self._coeffs
         return (c2 * y + c1) * y + c0
-
-
-def _roots(c2: float, c1: float, c0: float, disc: float) -> tuple[float, ...]:
-    """W's real roots in ascending order (a double root is listed once) from the snapped disc."""
-    if c2 == 0.0:
-        if c1 == 0.0:
-            return ()
-        return (-c0 / c1,)
-    if disc < 0.0:
-        return ()
-    if disc == 0.0:
-        return (-c1 / (2.0 * c2),)
-    sq = math.sqrt(disc)
-    if c0 == 0.0:
-        return tuple(sorted([0.0, -c1 / c2]))
-    # Citardauq pairing avoids cancellation in the small root.
-    qq = -0.5 * (c1 + math.copysign(sq, c1))
-    return tuple(sorted([qq / c2, c0 / qq]))
 
 
 def existence_clause(a: float, T: float, D: float) -> bool:
@@ -151,29 +133,36 @@ def _q(a: float, T: float, D: float) -> float | None:
 
 
 def _kernel(a: float, T: float, D: float, coeffs: tuple, disc: float) -> tuple:
-    """The residual's formula branch for a forward triple and that branch's constants.
+    """W's real roots and the residual's formula branch, from one ladder on D
+    and the snapped disc of a forward triple, which forms sqrt|disc| once.
 
-    (branch, fd, c2, c1, c0, 2D, k): the branch's name and its residual
-    function (see _residual), W's coefficients, 2D, and k, the branch's own
-    constants.  Each constant is a subexpression that the formula groups on
-    its own, so forming it once moves no result by a bit.  None when T = 0:
-    W is even and q = 0 there, so the map is the reflection y0 -> -y0 (see
-    evaluate) and no solve forms a residual.
+    Returns (roots, kernel).  roots ascend, a double root listed once; there
+    are none for T = 0 < D with a != 0, where W = a^2 + D*y^2 > 0 whatever
+    disc underflows to.  kernel is (branch, fd, c2, c1, c0, 2D, k): the
+    branch's name and its residual function (see _residual), W's
+    coefficients, 2D, and k, the branch's own constants.  Each constant is a
+    subexpression that the formula groups on its own, so forming it once
+    moves no result by a bit.  kernel is None where evaluate answers by a
+    closed form, a = 0 or T = 0 (W even and q = 0), so no solve forms a
+    residual.
     """
-    if T == 0.0:
-        return None
     c2, c1, c0 = coeffs
-    two_d = 2.0 * D
+    two_d, s = 2.0 * D, math.sqrt(abs(disc))
     if D == 0.0:
-        return "linear", _fd_linear, c2, c1, c0, two_d, (a, T, a * T, T * T)
-    coeff = -c1 / two_d                     # aT / (2D)
-    if disc < 0.0:
-        s = math.sqrt(-disc)
-        return "complex", _fd_complex, c2, c1, c0, two_d, (s, s * s, coeff * (2.0 / s))
-    if disc == 0.0:
-        return "double", _fd_double, c2, c1, c0, two_d, 2.0 * coeff
-    s = math.sqrt(disc)
-    return "real", _fd_real, c2, c1, c0, two_d, (s, 2.0 * s, coeff)
+        roots = (-c0 / c1,) if c1 != 0.0 else ()
+        branch, fd, k = "linear", _fd_linear, (a, T, a * T, T * T)
+    elif T == 0.0 < D and a != 0.0:
+        return (), None
+    elif disc < 0.0:
+        roots, branch, fd, k = (), "complex", _fd_complex, (s, s * s, -c1 / two_d * (2.0 / s))
+    elif disc == 0.0:
+        roots, branch, fd, k = (-c1 / two_d,), "double", _fd_double, 2.0 * (-c1 / two_d)
+    else:
+        # Citardauq pairing avoids cancellation in the small root.
+        qq = -0.5 * (c1 + math.copysign(s, c1))
+        roots = tuple(sorted([0.0, -c1 / c2] if c0 == 0.0 else [qq / c2, c0 / qq]))
+        branch, fd, k = "real", _fd_real, (s, 2.0 * s, -c1 / two_d)
+    return roots, None if a == 0.0 or T == 0.0 else (branch, fd, c2, c1, c0, two_d, k)
 
 
 @dataclass(frozen=True)
@@ -247,31 +236,30 @@ def _fd_real(c2, c1, c0, two_d, k, q, y0, w0, u0, v):
     return lead - coeff * math.log1p(ratio) / s - q, wv
 
 
-def _bracketed_newton(fd, lo, hi, flo, fhi, v):
-    """Root of f on [lo, hi], lo < hi, f(lo) >= 0 > f(hi); safeguarded Newton.
+def _bracketed_newton(fd, lo, hi, flo, v):
+    """Root of f on [lo, hi], lo < hi, flo = f(lo) >= 0 > f(hi); safeguarded Newton.
 
     fd(v) returns (f(v), w) from one call, with f'(v) = v/w: w is W(v) for the
     integral's lower endpoint and -W(v) for its upper one.  v, strictly
-    inside the bracket, is the first iterate (see _descend and _solve_lambda).
-    Converges on the residual first, then keeps polishing until the Newton
-    step stalls at the floating-point floor; a step that leaves the bracket
-    is a bisection.  A step that rounds back to v itself (v - step == v) with
-    the residual within RESIDUAL_TOL returns v: no further evaluation can
-    move it, and the bracket test would otherwise read v == hi (or lo) as
-    leaving the bracket and bisect from its far end.
+    inside the bracket, is the first iterate.  Both callers bracket with
+    f(lo) >= 0: _descend stops its walk at a residual >= 0, and _solve_lambda
+    passes f(0) = -q > 0.  Converges on the residual first, then keeps
+    polishing until the Newton step stalls at the floating-point floor; a
+    step that leaves the bracket is a bisection.  A step that rounds back to
+    v itself (v - step == v) with the residual within RESIDUAL_TOL returns
+    v: no further evaluation can move it, and the bracket test would
+    otherwise read v == hi (or lo) as leaving the bracket and bisect from
+    its far end.
     """
     if flo == 0.0:
         return lo
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ConvergenceError("root bracket does not straddle a sign change")
-    pos_at_lo = flo > 0.0
     tol, step_tol, inf = RESIDUAL_TOL, STEP_TOL, math.inf
     for _ in range(MAX_ITER):
         fv, w = fd(v)
         d = v / w
         if fv == 0.0:
             return v
-        if (fv > 0.0) == pos_at_lo:
+        if fv > 0.0:
             lo = v
         else:
             hi = v
@@ -308,7 +296,7 @@ def _solve_lambda(h: HalfSystem) -> float:
         except ValueError:   # W(hi) so large that the log's argument rounds to 0
             break
         if ghi < 0.0:
-            return _bracketed_newton(gd, 0.0, hi, -q, ghi, 0.5 * hi)
+            return _bracketed_newton(gd, 0.0, hi, -q, 0.5 * hi)
         hi *= 2.0
         if not (math.isfinite(ghi) and math.isfinite(hi)):
             break
@@ -355,9 +343,9 @@ def domain(h: HalfSystem) -> HalfMapDomain:
     return dom
 
 
-def _descend(h: HalfSystem, fd, hi: float, fhi: float, step: float) -> float:
-    """The map value below hi (residual fhi < 0; -inf: not evaluated), walking
-    down hi + step, hi + 2*step, hi + 4*step, ... to a residual >= 0.
+def _descend(h: HalfSystem, fd, hi: float, step: float) -> float:
+    """The map value below hi, where the residual is negative, walking down
+    hi + step, hi + 2*step, hi + 4*step, ... to a residual >= 0.
 
     That point and the last negative one bracket the value; Newton starts
     with the step from the first point walked, or at the bracket's midpoint
@@ -401,12 +389,12 @@ def _descend(h: HalfSystem, fd, hi: float, fhi: float, step: float) -> float:
             cand = x - fx / d if d != 0.0 else math.inf
         if fx >= 0.0:
             break
-        hi, fhi = x, fx
+        hi = x
         step *= 2.0
         x = start + step
     if not x < cand < hi:
         cand = 0.5 * (x + hi)
-    return _bracketed_newton(fd, x, hi, fx, fhi, cand)
+    return _bracketed_newton(fd, x, hi, fx, cand)
 
 
 def evaluate(h: HalfSystem, y0: float) -> float:
@@ -451,7 +439,7 @@ def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:
         den = y1p * w(y0p)
         step = y0p * w(y1p) / den * (y0 - y0p) if den != 0.0 else 0.0
         if -math.inf < y1p + step < y1p:
-            return _descend(h, fd, y1p, -math.inf, step)
+            return _descend(h, fd, y1p, step)
     try:
         f0 = fd(0.0)[0] if y0 != 0.0 else -h._q   # fd needs v != y0
     except ValueError:   # W(y0)/a^2 is not a positive double
@@ -462,9 +450,9 @@ def _evaluate_after(h: HalfSystem, y0: float, y0p: float, y1p: float) -> float:
         # the map value is exactly the endpoint value 0.
         if f0 <= 100.0 * RESIDUAL_TOL:
             return 0.0
-        raise DomainError("y0 lies below the half-map domain")
+        raise DomainError("the residual at 0 is not negative at this y0 in rounding")
     # the walk's first point is -max(1, |y0|); with a negative W root b it is 15b/16
-    return _descend(h, fd, 0.0, f0, -max(1.0, abs(y0)) if h._barrier == -math.inf else -math.inf)
+    return _descend(h, fd, 0.0, -max(1.0, abs(y0)) if h._barrier == -math.inf else -math.inf)
 
 
 def _require_interior(h: HalfSystem, y0: float) -> None:

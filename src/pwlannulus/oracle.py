@@ -326,8 +326,7 @@ def _in_sliding(y: float, b: float) -> bool:
     return b != 0.0 and min(0.0, b) < y < max(0.0, b)
 
 
-def verify_periodic(canon: CanonicalSystem, y0: float, *,
-                    closure_tol: float = CLOSURE_TOL) -> tuple[bool, float]:
+def verify_periodic(canon: CanonicalSystem, y0: float) -> tuple[bool, float]:
     """Close the crossing orbit through (0, y0) by pure flow simulation.
 
     The left zone is traveled forward in time and the right zone backward,
@@ -347,4 +346,4 @@ def verify_periodic(canon: CanonicalSystem, y0: float, *,
     if _in_sliding(y_right, b):
         raise SlidingEncounteredError("right passage lands in the sliding interval")
     gap = y_right - y_left
-    return abs(gap) <= closure_tol * max(1.0, abs(y0)), gap
+    return abs(gap) <= CLOSURE_TOL * max(1.0, abs(y0)), gap

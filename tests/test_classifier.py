@@ -250,10 +250,8 @@ def test_classify_rejects_nonpositive_tolerance():
 @pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
 def test_tolerances_must_be_finite_and_positive(tol):
     # NaN answered no-period-annulus, and inf linear-center-left for any system
-    p = annulus_family(1.0, 1.0, 1.0, 2.0)
-    for call in (classify, sliding_set):
-        with pytest.raises(PreconditionError, match="finite and positive"):
-            call(p, tol)
+    with pytest.raises(PreconditionError, match="finite and positive"):
+        classify(annulus_family(1.0, 1.0, 1.0, 2.0), tol)
 
 
 def test_annulus_family_requires_positive_k():

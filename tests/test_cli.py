@@ -390,10 +390,11 @@ def test_classify_tolerance_override(tmp_path):
     assert json.loads(text)["verdict"] == "crossing-period-annulus"
 
 
-def test_portrait_leaves_out_a_leg_the_oracle_refuses(tmp_path):
+def test_portrait_leaves_out_a_leg_the_oracle_refuses(tmp_path, capsys):
     # right: a = 0 focus with 4D - T^2 = 4e-4, whose returns land about
     # exp(-157)*y0 below 0, where the crossing is tangential within the
-    # oracle's tolerance; left: T = D = 0, a parabola that returns at -y0
+    # oracle's tolerance; left: T = D = 0, a parabola that returns at -y0.
+    # Each leg left out is named on stderr, and the exit stays 0
     path = write_json(tmp_path, "tangent.json", {
         "TL": 0.0, "DL": 0.0, "aL": 1.0, "TR": 1.0, "DR": 0.2501, "aR": 0.0, "b": 0.0})
     code, text = run_cli(["--input", path, "--cmd", "portrait", "--grid", "4",
@@ -402,6 +403,9 @@ def test_portrait_leaves_out_a_leg_the_oracle_refuses(tmp_path):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert [(r["orbit"], r["leg"]) for r in rows] == [
         (str(i), "left") for i in range(cli.PORTRAIT_ORBITS) for _ in range(4)]
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: orbit {i} right leg left out: TangencyError: non-transversal crossing"
+        for i in range(cli.PORTRAIT_ORBITS)]
 
 
 # -- refusals: each exits 1 with one line on stderr ---------------------------

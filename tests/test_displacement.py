@@ -148,7 +148,7 @@ def test_scan_refuses_an_annulus_tolerance_not_finite_and_positive(annulus_tol):
         canon = to_canonical(annulus_family(1.0, 1.0, 1.0, 2.0, offset=offset))
         ctx = make_context(canon.left, canon.right, canon.b)
         with pytest.raises(PreconditionError, match="finite and positive"):
-            find_crossing_orbits(ctx, 16, annulus_tol=annulus_tol)
+            orbits_from_scan(ctx, scan(ctx, 16), annulus_tol=annulus_tol)
 
 
 @pytest.mark.parametrize("span", [0.0, -1.0, math.nan, math.inf])
@@ -157,8 +157,7 @@ def test_scan_refuses_a_span_not_finite_and_positive(span):
     # y0 = 0, -1 a y0 outside the domain, and NaN and inf a y0 not finite
     canon = to_canonical(from_canonical(0.5, -0.8, 1.0, -0.5, 0.6, 1.0))
     ctx = make_context(canon.left, canon.right, canon.b)
-    for call in (lambda: scan_window(ctx, span=span), lambda: scan(ctx, 16, span=span),
-                 lambda: find_crossing_orbits(ctx, 16, span=span)):
+    for call in (lambda: scan_window(ctx, span=span), lambda: scan(ctx, 16, span=span)):
         with pytest.raises(PreconditionError, match="^span must be finite and positive$"):
             call()
     assert scan_window(ctx, span=None) == scan_window(ctx)
@@ -222,8 +221,6 @@ def test_scan_rows_are_the_map_values_and_delta():
 def test_find_crossing_orbits_reads_the_scan(left, right):
     ctx = ctx_of(left, right)
     assert find_crossing_orbits(ctx, 40) == orbits_from_scan(ctx, scan(ctx, 40))
-    assert (find_crossing_orbits(ctx, 40, span=3.0, annulus_tol=1e-12)
-            == orbits_from_scan(ctx, scan(ctx, 40, span=3.0), annulus_tol=1e-12))
 
 
 def test_orbits_take_a_row_whose_delta_is_exactly_zero_as_the_zero(monkeypatch):
@@ -377,9 +374,9 @@ def _warm_contexts():
 def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
     # each map walks the grid as scan does; where cold evaluate raises the
     # warm start raises the same class, and the walk goes on from the last
-    # value it has.  A warm solve's walk starts at the previous value with
-    # its residual not evaluated (-inf); a solve that makes no such walk fell
-    # back to a cold one
+    # value it has.  A warm solve's walk starts at the previous value (< 0),
+    # a cold one at 0; a solve that makes no walk from below 0 fell back to a
+    # cold one
     cold = halfmap.evaluate
     walks = _spy_walks(monkeypatch)
     warm, fallbacks, raised = [], set(), 0
@@ -407,7 +404,7 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
                 if prev is not None:
                     walks.clear()
                     got = halfmap._evaluate_after(h, y, *prev)
-                    if -math.inf in walks:
+                    if any(start < 0.0 for start in walks):
                         warm.append(kind)
                     elif prev[0] > dom.lam:
                         fallbacks.add(kind[0])
@@ -440,12 +437,13 @@ def test_warm_rows_are_the_cold_solves_within_their_rounding(monkeypatch):
 
 
 def _spy_walks(monkeypatch):
-    """The fhi argument of every halfmap._descend call: -inf for a warm walk."""
+    """The start hi of every halfmap._descend walk: 0.0 for a cold walk, the
+    previous value (< 0) for a warm one."""
     descend, walks = halfmap._descend, []
 
-    def spy(h, fd, hi, fhi, step):
-        walks.append(fhi)
-        return descend(h, fd, hi, fhi, step)
+    def spy(h, fd, hi, step):
+        walks.append(hi)
+        return descend(h, fd, hi, step)
 
     monkeypatch.setattr(halfmap, "_descend", spy)
     return walks
@@ -460,7 +458,7 @@ def test_warm_start_walks_near_mu_and_refuses_where_evaluate_raises(monkeypatch)
     want = evaluate(h, y0)
     walks = _spy_walks(monkeypatch)
     got = halfmap._evaluate_after(h, y0, 0.5, y1p)
-    assert walks == [-math.inf]
+    assert walks == [y1p]
     assert abs(got - want) <= 1e-13 * abs(want) + 4.0 * _rounding_band(h, y0, want)
     for y0 in (mu, math.nan, math.inf):
         with pytest.raises(DomainError):
@@ -669,7 +667,7 @@ def test_sign_prime_matches_finite_difference_on_random_zeros(rng):
         left = HalfSystem(-rng.uniform(0.5, 2.5), rng.uniform(0.2, 1.0), 1.0)
         right = HalfSystem(aR, -rng.uniform(0.2, 1.0), DR, orientation=BWD)
         ctx = ctx_of(left, right)
-        orbits = [o for o in find_crossing_orbits(ctx, 48, span=12.0)
+        orbits = [o for o in orbits_from_scan(ctx, scan(ctx, 48, span=12.0))
                   if o.kind is OrbitKind.ISOLATED]
         for orbit in orbits:
             y1 = evaluate(left, orbit.y0)

@@ -467,6 +467,25 @@ def test_y0_on_a_w_root_in_rounding_is_refused_by_name():
             call(h, y0)
 
 
+@pytest.mark.parametrize("h, y0", [
+    # one ulp below mu = 0.7115440261869329, where W(y0) reads 5.6e-17
+    (HalfSystem(0.5394516248420745, 0.770792092811498, 0.009590342725941935),
+     0.7115440261869328),
+    # tiny_trace: W is about a^2 on the whole range, and the residual at 0
+    # cancels to above the lambda noise bound
+    (HalfSystem(-2.3850556216375271e-32, -4.390537383274676e-158, -5.756318760584288e-158,
+                BWD), 3.117619265931517),
+])
+def test_a_residual_at_zero_not_negative_is_refused_by_name(h, y0):
+    # y0 lies in [lam, mu), so the refusal names the residual, not the domain
+    dom = domain(h)
+    assert dom.lam <= y0 < dom.mu
+    for call in (evaluate, derivative):
+        with pytest.raises(DomainError, match="^the residual at 0 is not negative at this y0 "
+                                              "in rounding$"):
+            call(h, y0)
+
+
 def test_slope_pairs_its_factors_where_a_product_overflows():
     # T ~ 0: y1 = -y0 and W(y1) = W(y0) ~ 4e232, so y0*W(y1) overflows
     h = HalfSystem(7.530457575387989e-59, 2.86387606981248e-238, 1.0383911433196737e+74, BWD)
@@ -872,8 +891,11 @@ def _w_draws(rng):
 
 
 def test_kept_w_constants_repeat_the_frozen_object_bitwise():
+    # one ladder gives the roots and the residual's branch, so they agree;
+    # no kernel exactly where evaluate answers by a closed form
     rng = random.Random(25)
-    seen = set()
+    seen, branches = set(), set()
+    root_counts = {"real": {2}, "double": {1}, "complex": {0}, "linear": {0, 1}}
     for a, T, D in _w_draws(rng):
         h = HalfSystem(a, T, D, orientation=rng.choice([FWD, BWD]))
         ref = _WReference(D, -a * T, a * a)
@@ -881,6 +903,10 @@ def test_kept_w_constants_repeat_the_frozen_object_bitwise():
         assert repr(h._disc) == repr(ref.disc), (a, T, D)
         assert repr(h._roots) == repr(roots), (a, T, D)
         assert repr(h._barrier) == repr(max((r for r in roots if r < 0.0), default=-math.inf))
+        assert (h._kernel is None) == (a == 0.0 or T == 0.0), (a, T, D)
+        branch = h._kernel and h._kernel[0]
+        assert branch is None or len(roots) in root_counts[branch], (a, T, D, branch)
+        branches.add(branch)
         wide = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320.0, 150.0)
         ys = list(roots) + [0.0, -0.0, rng.uniform(-5.0, 5.0), wide]
         for y in ys:
@@ -888,6 +914,7 @@ def test_kept_w_constants_repeat_the_frozen_object_bitwise():
         seen.add("zero_disc" if ref.disc == 0.0 else "c2_zero" if D == 0.0
                  else "c0_zero" if a * a == 0.0 else "other")
     assert seen == {"zero_disc", "c2_zero", "c0_zero", "other"}
+    assert branches == {None, "linear", "complex", "double", "real"}
 
 
 def test_w_positive_between_images(rng):
