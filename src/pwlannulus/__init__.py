@@ -21,7 +21,7 @@ from .oracle import (CrossingEvent, ZoneFlow, flow, next_crossing, oracle_halfma
 from .params import (CanonicalSystem, DerivedQuantities, SystemParams,
                      derive_invariants, from_canonical, to_canonical)
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "CanonicalSystem", "CanonicalizationError", "Classification",

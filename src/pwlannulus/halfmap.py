@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, PreconditionError
 
 # Solver constants.
 RESIDUAL_TOL = 1e-12   # accepted residual of the defining integral identity
@@ -81,7 +81,7 @@ class HalfSystem:
     def __post_init__(self):
         for name in ("a", "T", "D"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite real")
+                raise PreconditionError(f"{name} must be a finite real")
         a, T, D = self.a, self.T, self.D
         c2, c1, c0 = coeffs = D, -a * T, a * a
         if self.orientation is Orientation.BACKWARD:

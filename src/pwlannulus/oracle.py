@@ -14,9 +14,10 @@ Crossing search reads x(t) and y(t) from that closed form and x'(t) from the
 field at the same state.  It decomposes x(t) into monotone segments between
 the critical times of x'(t), which the same constants give explicitly: a
 trigonometric lattice in the complex-pair case, at most one critical time
-otherwise.  The first segment boundary whose value has left the zone's side
-brackets the first return to the switching line, which a
-bisection-safeguarded Newton then refines.
+otherwise.  With v(s) = tau*x(tau*s), tau = 1 forward and -1 backward, the
+zone's side is v < 0 and v's slope is the field's x'; the first segment
+boundary with v > 0 brackets the first return to the switching line, which
+a bisection-safeguarded Newton then refines.
 """
 
 from __future__ import annotations
@@ -38,12 +39,17 @@ MAX_EXPAND = 400
 
 @dataclass(frozen=True)
 class ZoneFlow:
-    """One zone's field x' = T*x - y + b, y' = D*x - a."""
+    """One zone's field x' = T*x - y + b, y' = D*x - a, with finite T, D, a, b."""
 
     T: float
     D: float
     a: float
     b: float = 0.0
+
+    def __post_init__(self):
+        for name in ("T", "D", "a", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise PreconditionError(f"{name} must be a finite real")
 
 
 @dataclass(frozen=True)
@@ -175,11 +181,9 @@ class _Orbit:
             return math.copysign(math.inf, k)
         return self.rest
 
-    def trapped(self, s: float, tau: float, inside: int) -> bool:
-        """Complex pair: the envelope at s is too small to reach the switching line again."""
-        if self.kind != "complex" or tau * self.sg > 0.0:
-            return False
-        if self.px == 0.0 or (self.px > 0.0) != (inside > 0):
+    def trapped(self, s: float, tau: float) -> bool:
+        """Complex pair, tau*px < 0: the envelope at s cannot reach the switching line again."""
+        if self.kind != "complex" or tau * self.sg > 0.0 or tau * self.px >= 0.0:
             return False
         return self.env * math.exp(tau * self.sg * s) < abs(self.px) * (1.0 - 1e-15)
 
@@ -199,16 +203,15 @@ def sample_trajectory(z: ZoneFlow, x0: float, y0: float, duration: float,
     return [(t, *at(t)) for t in [duration * i / (n - 1) for i in range(n)]]
 
 
-def _refine(probe, lo, hi, vlo, vhi, tol):
-    """Root of x on a bracket whose end values vlo, vhi are nonzero and of
-    opposite signs, bisection plus Newton; probe(s) starts with (x, x') at s."""
-    pos_at_lo = vlo > 0.0
+def _refine(probe, lo, hi, tol):
+    """Root of the search value v on a bracket with v(lo) < 0 < v(hi),
+    bisection plus Newton; probe(s) starts with (v, v') at s."""
     s = 0.5 * (lo + hi)
     for _ in range(200):
         v, d = probe(s)[:2]
         if v == 0.0:
             return s
-        if (v > 0.0) == pos_at_lo:
+        if v < 0.0:
             lo = s
         else:
             hi = s
@@ -232,45 +235,42 @@ def next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEve
     travels the right zone (x > 0) in reversed time.  The returned t is the
     elapsed (positive) duration in the traveled direction.
     """
+    if not math.isfinite(y0):
+        raise DomainError("y0 must be finite")
     try:
         return _next_crossing(z, y0, direction)
     except OverflowError:  # an exponential of the closed-form flow
         raise DomainError("flow exceeds the double range") from None
 
 
-def _seed_inside(probe, step: float, inside: int) -> tuple[float, float]:
-    """(s, x(s)) at the first s = step/2, step/4, ... where x is on the zone's side."""
+def _seed_inside(probe, step: float) -> float:
+    """The first s = step/2, step/4, ... where v = tau*x < 0, on the zone's side."""
     for _ in range(60):
         step *= 0.5
-        v = probe(step)[0]
-        if v != 0.0 and (v > 0.0) == (inside > 0):
-            return step, v
+        if probe(step)[0] < 0.0:
+            return step
     raise ConvergenceError("could not seed the crossing bracket")
 
 
 def _next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEvent:
     tau = 1.0 if direction is Orientation.FORWARD else -1.0
-    inside = -1 if direction is Orientation.FORWARD else 1
     orbit = _Orbit(z, 0.0, y0)
     if math.isinf(orbit.px):
         raise DomainError("zone equilibrium a/D exceeds the double range")
-    p0 = tau * orbit.P
-    if p0 != 0.0:
-        if (p0 > 0.0) != (inside > 0):
-            raise PreconditionError("start point does not enter the zone")
-    else:
-        # tangential start: the second derivative of x along the flow is a
-        if z.a == 0.0 or (z.a > 0.0) != (inside > 0):
-            raise PreconditionError("tangential start does not enter the zone")
+    # v = tau*x leaves 0 with slope P = x'(0) and, where P = 0, curvature tau*a
+    if orbit.P > 0.0:
+        raise PreconditionError("start point does not enter the zone")
+    if orbit.P == 0.0 and not tau * z.a < 0.0:
+        raise PreconditionError("tangential start does not enter the zone")
 
     scale = max(1.0, abs(y0), abs(z.b), abs(orbit.px))
     tol = CROSSING_TOL * scale
     at, T, b = orbit.at, z.T, z.b
 
     def probe(s: float) -> tuple[float, float, float]:
-        """(x, x', y) at search time s, x' taken along the search direction."""
+        """(v, v', y) at search time s: v = tau*x, whose slope v' is the field's x'."""
         x, y = at(tau * s)
-        return x, tau * (T * x - y + b), y
+        return tau * x, T * x - y + b, y
 
     def finish(s_root: float) -> CrossingEvent:
         _, vel, y = probe(s_root)
@@ -278,40 +278,36 @@ def _next_crossing(z: ZoneFlow, y0: float, direction: Orientation) -> CrossingEv
             raise TangencyError("non-transversal crossing", t=s_root, y=y)
         return CrossingEvent(t=s_root, y=y, transversal=True)
 
-    prev_s, prev_v = 0.0, 0.0
-    segments = 0
-    for s_b in orbit.critical_times(tau):
-        segments += 1
+    prev_s = 0.0   # the last search time with v < 0; 0 while there is none
+    for segments, s_b in enumerate(orbit.critical_times(tau), 1):
         if segments > MAX_SEGMENTS:
             raise ConvergenceError("crossing search exceeded its segment budget")
         v, _, y = probe(s_b)
         if v == 0.0:
             raise TangencyError("orbit grazes the switching line", t=s_b, y=y)
-        if (v > 0.0) == (inside > 0):
-            if orbit.trapped(s_b, tau, inside):
+        if v < 0.0:
+            if orbit.trapped(s_b, tau):
                 raise NoReturnError("orbit spirals into the zone equilibrium")
-            prev_s, prev_v = s_b, v
+            prev_s = s_b
             continue
-        if prev_v == 0.0:
-            # first segment: x(0) = 0 and the orbit moved inside before s_b
-            prev_s, prev_v = _seed_inside(probe, s_b, inside)
-        return finish(_refine(probe, prev_s, s_b, prev_v, v, tol))
+        if prev_s == 0.0:
+            # first segment: v(0) = 0 and the orbit entered the zone before s_b
+            prev_s = _seed_inside(probe, s_b)
+        return finish(_refine(probe, prev_s, s_b, tol))
     # finitely many critical times: decide the tail
     lim = orbit.tail_limit(tau)
     if lim is None:
         raise ConvergenceError("crossing search exhausted the critical lattice")
-    if lim == 0.0 or (lim > 0.0) == (inside > 0):
+    if not tau * lim > 0.0:
         raise NoReturnError("orbit never returns to the switching line")
-    # the tail is monotone toward the other side: expand until the sign flips
-    if prev_v == 0.0:
-        # no critical times at all (so prev_s is 0): seed just inside
-        prev_s, prev_v = _seed_inside(probe, 1.0, inside)
+    # the tail is monotone toward the other side: expand until v > 0
+    if prev_s == 0.0:  # no critical times at all: seed in the zone
+        prev_s = _seed_inside(probe, 1.0)
     hi = max(2.0 * prev_s, prev_s + 1.0)
     for _ in range(MAX_EXPAND):
-        v = probe(hi)[0]
-        if v != 0.0 and (v > 0.0) != (inside > 0):
-            return finish(_refine(probe, prev_s, hi, prev_v, v, tol))
-        prev_s, prev_v = hi, (v if v != 0.0 else prev_v)
+        if probe(hi)[0] > 0.0:
+            return finish(_refine(probe, prev_s, hi, tol))
+        prev_s = hi
         hi *= 2.0
     raise ConvergenceError("no sign change found while expanding the tail")
 

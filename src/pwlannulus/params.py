@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CanonicalizationError
+from .errors import CanonicalizationError, PreconditionError
 from .halfmap import HalfSystem, Orientation
 
 _FIELDS = ("aL11", "aL12", "aL21", "aL22", "aR11", "aR12", "aR21", "aR22",
@@ -44,7 +44,7 @@ class SystemParams:
     def __post_init__(self):
         for name in _FIELDS:
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite real")
+                raise PreconditionError(f"{name} must be a finite real")
 
     @classmethod
     def from_matrices(cls, AL, bL, AR, bR) -> "SystemParams":

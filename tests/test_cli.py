@@ -254,6 +254,16 @@ def test_tables_with_a_tiny_determinant(tmp_path, command):
         assert [z["kind"] for z in payload["zeros"]] == ["annulus-candidate"]
 
 
+def test_sweep_past_the_double_range_exit(tmp_path, capsys):
+    # a half-width of 1e308 sends the first perturbed raw entry past the double range
+    path = write_json(tmp_path, "huge.json", {
+        "TL": 1e308, "DL": 1, "aL": -1, "TR": -1, "DR": 1, "aR": 1, "b": 0})
+    code, text = run_cli(["--input", path, "--cmd", "sweep", "--span", "1e308"])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == "error: PreconditionError: aL11 must be a finite real\n"
+
+
 def test_portrait_with_an_infinite_equilibrium_exit(tmp_path, capsys):
     path = write_json(tmp_path, "tiny.json", {
         "TL": 0, "DL": 1e-320, "aL": -1, "TR": 0, "DR": 1, "aR": 1, "b": 0})

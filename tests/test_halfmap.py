@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from pwlannulus import (ConvergenceError, DomainError, HalfSystem, NoReturnError,
-                        Orientation, PwlError, derivative, domain, evaluate,
-                        exists, halfmap, oracle_halfmap)
+                        Orientation, PreconditionError, PwlError, derivative, domain,
+                        evaluate, exists, halfmap, oracle_halfmap)
 from conftest import (NEAR_MU_BRANCHES, NEAR_ROOT_BRANCHES, count_residual_calls, domain_point,
                       draw_half_system, draw_near_mu, draw_near_root, integral_from_residual,
                       mp_antiderivative, mp_map_value, proper_pv_interval, quad_pv, sign_of_sum,
@@ -40,7 +40,7 @@ def test_exists_examples():
 @pytest.mark.parametrize("triple, name", [
     ((math.nan, 1.0, 1.0), "a"), ((0.0, math.inf, 1.0), "T"), ((1.0, 1.0, -math.inf), "D")])
 def test_half_system_refuses_a_non_finite_entry(triple, name):
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(PreconditionError) as err:
         HalfSystem(*triple)
     assert str(err.value) == f"{name} must be a finite real"
 

@@ -231,6 +231,28 @@ def test_crossing_overflow_is_a_domain_error():
         next_crossing(z, 1.0, FWD)
 
 
+@pytest.mark.parametrize("direction", [FWD, BWD])
+@pytest.mark.parametrize("y0", [math.inf, -math.inf, math.nan])
+def test_crossing_refuses_a_y0_that_is_not_finite(y0, direction):
+    z = ZoneFlow(T=0.5, D=1.0, a=1.0)
+    with pytest.raises(DomainError, match="^y0 must be finite$"):
+        next_crossing(z, y0, direction)
+    with pytest.raises(DomainError, match="^y0 must be finite$"):
+        oracle_halfmap(HalfSystem(1.0, 0.5, 1.0, direction), y0)
+    canon = CanonicalSystem(left=HalfSystem(-1.0, 0.0, 1.0),
+                            right=HalfSystem(1.0, 0.0, 1.0, orientation=BWD), b=0.0)
+    with pytest.raises(DomainError, match="^y0 must be finite$"):
+        verify_periodic(canon, y0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("T", math.nan), ("D", math.inf), ("a", math.nan), ("b", -math.inf)])
+def test_zone_flow_refuses_a_non_finite_field(field, value):
+    with pytest.raises(PreconditionError) as err:
+        ZoneFlow(**{"T": 0.5, "D": 1.0, "a": 1.0, "b": 0.0, field: value})
+    assert str(err.value) == f"{field} must be a finite real"
+
+
 def test_crossing_with_an_infinite_equilibrium_is_a_domain_error():
     # a/D = -inf for a subnormal determinant
     z = ZoneFlow(T=0.0, D=1e-320, a=-1.0)
@@ -250,14 +272,14 @@ def test_crossing_seed_fails_near_a_tangential_start(zone):
 
 
 def test_refine_stops_where_the_newton_step_rounds_back():
-    # cos on [1, 2]: Newton lands on the double nearest pi/2, where its step
+    # -cos on [1, 2]: Newton lands on the double nearest pi/2, where its step
     # rounds to nothing; bisecting from the far end from there took 40 calls
     calls = []
 
     def probe(s):
         calls.append(s)
-        return math.cos(s), -math.sin(s)
-    assert oracle._refine(probe, 1.0, 2.0, math.cos(1.0), math.cos(2.0), 1e-12) == 0.5 * math.pi
+        return -math.cos(s), math.sin(s)
+    assert oracle._refine(probe, 1.0, 2.0, 1e-12) == 0.5 * math.pi
     assert len(calls) <= 5
 
 
@@ -677,6 +699,21 @@ def test_oracle_time_reversal_duality(rng):
         back = oracle_halfmap(h, y0)
         fwd = oracle_halfmap(HalfSystem(-h.a, -h.T, h.D), y0)
         assert back == pytest.approx(fwd, abs=1e-10 * max(1.0, abs(y0)))
+    # every zone kind, b != 0 and tangential starts included: x -> -x maps
+    # the zone (T, D, a, b) run one way onto (-T, D, -a, b) run the other
+    seen = set()
+    for z, y0, direction in _crossing_draws(rng, 400):
+        dual = ZoneFlow(T=-z.T, D=z.D, a=-z.a, b=z.b)
+        got = _crossing_outcome(next_crossing, z, y0, direction)
+        want = _crossing_outcome(next_crossing, dual, y0, BWD if direction is FWD else FWD)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want, (z, y0, direction)
+            seen.add(want)
+            continue
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w), (z, y0, direction)
+        seen.add("crossing")
+    assert seen >= {"crossing", NoReturnError, PreconditionError}
 
 
 # -- periodic orbits --------------------------------------------------------------

@@ -143,3 +143,24 @@ def test_near_mu_map_points():
     for _, h, _, pick in points:
         mu = domain(h).mu
         assert mu * (1.0 - 1e-9) <= pick(domain(h)) < mu < math.inf
+
+
+def test_flow_calls_count_each_closed_form_evaluation():
+    z = pwlannulus.ZoneFlow(T=0.0, D=1.0, a=1.0)
+    orbit = pwlannulus.oracle._Orbit
+    with output_check._flow_calls(pwlannulus.oracle) as calls:
+        pwlannulus.flow(z, 0.0, 1.0, 0.5)
+        assert calls == [1]
+        pwlannulus.sample_trajectory(z, 0.0, 1.0, 1.0, 5)
+        assert calls == [6]
+    assert pwlannulus.oracle._Orbit is orbit
+
+
+def test_crossing_records_carry_their_flow_calls():
+    recs = list(output_check._crossing_records(pwlannulus))
+    assert len(recs) == 10 * output_check.CROSSINGS_PER_BRANCH
+    assert {tuple(r) for r in recs} == {
+        ("kind", "key", "zone", "y0", "crossing", "flow_calls")}
+    # every probe of the search is one evaluation; a refused start makes none
+    assert sum(r["flow_calls"] for r in recs) == 1768
+    assert all(r["flow_calls"] == 0 for r in recs if "does not enter" in r["crossing"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwlannulus import (CanonicalizationError, Orientation, SystemParams,
+from pwlannulus import (CanonicalizationError, Orientation, PreconditionError, SystemParams,
                         derive_invariants, from_canonical, to_canonical)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -51,10 +51,10 @@ def test_overflowing_invariants_are_refused():
 
 
 def test_nonfinite_fields_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^aL22 must be a finite real$"):
         SystemParams.from_matrices([0, 1, -1, math.nan], [0, 0],
                                    [1, 2, -1, -1], [1, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^bR1 must be a finite real$"):
         SystemParams.from_matrices([0, 1, -1, 0], [0, 0],
                                    [1, 2, -1, -1], [math.inf, 0])
 

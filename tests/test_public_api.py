@@ -23,4 +23,4 @@ def test_version_matches_pyproject():
     # tomllib is not in Python 3.10, the oldest version pyproject.toml allows
     match = re.search(r'(?m)^version\s*=\s*"([^"]+)"', PYPROJECT.read_text(encoding="utf-8"))
     assert match is not None
-    assert pwlannulus.__version__ == match.group(1) == "0.5.0"
+    assert pwlannulus.__version__ == match.group(1) == "0.6.0"

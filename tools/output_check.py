@@ -33,7 +33,9 @@ holds this file) and writes one JSON object per line, in a fixed order:
 - kind "crossing": repr of oracle.next_crossing, or the error it raised, on
   seeded zones of each flow branch (complex pair, real roots, double root,
   D = 0, D = T = 0), b = 0 and b != 0, in both directions, one start in
-  five tangential (y0 = b);
+  five tangential (y0 = b), and how many closed-form flow evaluations it
+  made, as the int flow_calls: calls of the at of each orbit oracle._Orbit
+  builds (counted by wrapping the class from outside);
 - kind "scaled": the classify verdict and failing clause names of the fixed
   systems above (their Liénard lift) and of 100 seeded near-annulus
   systems, each under the four exact conjugacies that scale time, x, y or
@@ -42,7 +44,8 @@ holds this file) and writes one JSON object per line, in a fixed order:
   two trees is a verdict that one of them moved with scale.
 
 Record the parent and the change and diff the two files: identical files
-mean identical outputs, and for the map points identical solver paths.
+mean identical outputs, for the map points identical solver paths, and for
+the crossings the same number of flow evaluations.
 --diff prints, per kind, how many records differ (for the cli records also
 per --cmd and per --format) and the largest change
 between the floats that the two records print in the same positions, in
@@ -53,9 +56,8 @@ factor of 2 apart, is counted as a sign or scale change and left out of the
 ulp figure, where it would read as the count of every double between the
 two (1e-17 against 1e-13 is about 2e16 ulp).  A count field (an int
 whose name ends in _calls: domain_calls, evaluate_calls, delta_calls,
-residual_calls) that differs is printed as both values, per record and
-summed over all records.  It uses only the
-standard library.
+residual_calls, flow_calls) that differs is printed as both values, per
+record and summed over all records.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -239,6 +241,30 @@ def _residual_calls(hm):
         yield calls
     finally:
         hm._residual = residual
+
+
+@contextlib.contextmanager
+def _flow_calls(oracle):
+    """[count] of closed-form flow evaluations while the block runs: calls of
+    the at of each orbit oracle._Orbit builds."""
+    calls = [0]
+    orbit = oracle._Orbit
+
+    def counted_orbit(*args):
+        o = orbit(*args)
+        at = o.at
+
+        def counted_at(t):
+            calls[0] += 1
+            return at(t)
+        o.at = counted_at
+        return o
+
+    oracle._Orbit = counted_orbit
+    try:
+        yield calls
+    finally:
+        oracle._Orbit = orbit
 
 
 def _map_records(pw):
@@ -451,9 +477,11 @@ def _crossing_records(pw):
         for branch, z in zones:
             for direction in (fwd, bwd):
                 y0 = b if rng.random() < 0.2 else b + rng.uniform(-1.0, 4.0)
+                with _flow_calls(pw.oracle) as calls:
+                    crossing = _outcome(pw.next_crossing, z, y0, direction)
                 yield {"kind": "crossing", "key": f"{branch} {i} {direction.name}",
-                       "zone": repr(z), "y0": repr(y0),
-                       "crossing": _outcome(pw.next_crossing, z, y0, direction)}
+                       "zone": repr(z), "y0": repr(y0), "crossing": crossing,
+                       "flow_calls": calls[0]}
 
 
 SCALE_EXPONENTS = (-60, -20, 20, 60)
