@@ -8,12 +8,11 @@ cross-validates everything against an exact-flow simulation oracle.
 
 from .classifier import (Classification, ConditionRecord, Verdict, annulus_family,
                          check_H, classify, sliding_set)
-from .displacement import (CrossingOrbit, DisplacementContext, OrbitKind, delta, f_value,
-                           find_crossing_orbits, make_context, sign_delta_prime_at_zero,
-                           sign_delta_second_at_critical)
-from .errors import (CanonicalizationError, ContractError, ConvergenceError, DomainError,
-                     EmptyDomainError, NoReturnError, PreconditionError, PwlError,
-                     SlidingEncounteredError, TangencyError)
+from .displacement import (CrossingOrbit, DisplacementContext, OrbitKind, delta,
+                           find_crossing_orbits, make_context, sign_delta_prime_at_zero)
+from .errors import (CanonicalizationError, ConvergenceError, DomainError, EmptyDomainError,
+                     NoReturnError, PreconditionError, PwlError, SlidingEncounteredError,
+                     TangencyError)
 from .halfmap import (HalfMapDomain, HalfSystem, Orientation, derivative,
                       domain, evaluate, exists)
 from .oracle import (CrossingEvent, ZoneFlow, flow, next_crossing, oracle_halfmap,
@@ -21,20 +20,18 @@ from .oracle import (CrossingEvent, ZoneFlow, flow, next_crossing, oracle_halfma
 from .params import (CanonicalSystem, DerivedQuantities, SystemParams,
                      derive_invariants, from_canonical, to_canonical)
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "CanonicalSystem", "CanonicalizationError", "Classification",
-    "ConditionRecord", "ContractError", "ConvergenceError",
-    "CrossingEvent", "CrossingOrbit",
+    "ConditionRecord", "ConvergenceError", "CrossingEvent", "CrossingOrbit",
     "DerivedQuantities", "DisplacementContext", "DomainError",
     "EmptyDomainError", "HalfMapDomain", "HalfSystem", "NoReturnError",
     "OrbitKind", "Orientation", "PreconditionError", "PwlError",
     "SlidingEncounteredError", "SystemParams", "TangencyError", "Verdict",
     "ZoneFlow", "annulus_family", "check_H", "classify",
     "delta", "derivative", "derive_invariants", "domain", "evaluate",
-    "exists", "f_value", "find_crossing_orbits", "flow", "from_canonical",
+    "exists", "find_crossing_orbits", "flow", "from_canonical",
     "make_context", "next_crossing", "oracle_halfmap", "sample_trajectory",
-    "sign_delta_prime_at_zero", "sign_delta_second_at_critical",
-    "sliding_set", "to_canonical", "verify_periodic",
+    "sign_delta_prime_at_zero", "sliding_set", "to_canonical", "verify_periodic",
 ]

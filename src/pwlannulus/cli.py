@@ -319,8 +319,7 @@ def _run_displacement(cfg: argparse.Namespace, p: SystemParams, out) -> int:
     ctx = _context(p)
     annulus_tol = cfg.tolerances.get("annulus", displacement.ANNULUS_TOL)
     record = displacement.scan(ctx, cfg.grid, span=cfg.span)
-    rows = [(r.y0, r.delta, f_sign)
-            for r, f_sign in zip(record.rows, displacement.zero_signs(ctx, record))]
+    rows = [(r.y0, r.delta, displacement.sign_delta_prime_at_zero(ctx, r)) for r in record.rows]
     orbits = displacement.orbits_from_scan(ctx, record, annulus_tol=annulus_tol)
     _emit_table(cfg, out, ("y0", "delta", "f_sign"), rows, head=_domain_entry(ctx),
                 tail={"zeros": [{"y0": o.y0, "kind": o.kind.value} for o in orbits]})

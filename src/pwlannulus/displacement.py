@@ -8,14 +8,13 @@ on the common interval [lam_b, mu_b) with lam_b = max(lam_L, lam_R + b) and
 mu_b = min(mu_L, mu_R + b).  Its identical vanishing is equivalent to a
 crossing period annulus; an isolated zero is a crossing periodic orbit.
 
-The derivative-sign helpers are restricted to b = 0.  There, at a zero y0*
-with shared map value y1* < 0,
+For b = 0, at a zero y0* with shared map value y1* < 0,
 
     sign(delta'(y0*)) = sign(F(y0*, y1*)),
     F(y0, y1) = c0 + c1*y0*y1 + c2*(y0 + y1),
 
-and at a critical zero (delta' = 0 as well) the second derivative's sign is
-sign(TL*(c2*y0* + c0)) = -sign(TR*(c2*y1* + c0)).
+which sign_delta_prime_at_zero reads off a scan row with no further solve;
+the displacement table's f_sign column is that sign on each row.
 """
 
 from __future__ import annotations
@@ -27,13 +26,12 @@ from typing import NamedTuple
 
 from . import halfmap
 from .classifier import DEFAULT_TOL, _vanishes
-from .errors import ContractError, DomainError, EmptyDomainError, PreconditionError
+from .errors import DomainError, EmptyDomainError, PreconditionError
 from .halfmap import HalfSystem, Orientation
 
 ANNULUS_TOL = 1e-9       # per-point |delta| bound for an annulus candidate
 REFINE_WIDTH = 1e-10     # Illinois bracket width for isolated zeros
 DELTA_ZERO_TOL = 1e-6    # hypothesis tolerance: delta(y0) == 0
-DELTA_PRIME_TOL = 1e-6   # hypothesis tolerance: delta'(y0) == 0
 DEFAULT_GRID = 64
 SPAN_FACTOR = 10.0       # scan span for an unbounded upper endpoint
 
@@ -103,13 +101,17 @@ class ScanRow(NamedTuple):
 
     y0: float
     yL: float
-    yR: float      # right map at y0 - b, not shifted by b
+    yR: float      # right map at max(y0 - b, lam_R), not shifted by b
     delta: float   # yR + b - yL; bitwise delta(ctx, y0) on row 0 only (see scan)
 
 
 def _row(ctx: DisplacementContext, y0: float) -> ScanRow:
-    """Both map values at y0, right map first, and the displacement they give."""
-    yr = halfmap.evaluate(ctx.right, y0 - ctx.b)
+    """Both map values at y0, right map first, and the displacement they give.
+
+    The right map is solved at y0 - b, raised to lam_R where it rounds below:
+    lam = lam_R + b rounds, and y0 - b need not round back.
+    """
+    yr = halfmap.evaluate(ctx.right, max(y0 - ctx.b, halfmap.domain(ctx.right).lam))
     yl = halfmap.evaluate(ctx.left, y0)
     return ScanRow(y0, yl, yr, yr + ctx.b - yl)
 
@@ -123,55 +125,16 @@ def delta(ctx: DisplacementContext, y0: float) -> float:
     return _row(ctx, y0).delta
 
 
-def f_value(ctx: DisplacementContext, y0: float, y1: float) -> float:
-    """F(y0, y1) = c0 + c1*y0*y1 + c2*(y0 + y1)."""
-    return ctx.c0 + ctx.c1 * y0 * y1 + ctx.c2 * (y0 + y1)
-
-
-def _sign(x: float) -> int:
-    if x > 0.0:
-        return 1
-    if x < 0.0:
-        return -1
-    return 0
-
-
-def _require_zero(ctx, y0, y1) -> ScanRow:
-    """The row at y0, once the hypotheses of the sign formulas are checked on it."""
-    if ctx.b != 0.0:
-        raise PreconditionError("derivative-sign formulas require b = 0")
-    if not (ctx.lam < y0 < ctx.mu):
-        raise ContractError("y0 must lie in the open domain interior")
-    row = _row(ctx, y0)
-    if abs(row.delta) > DELTA_ZERO_TOL * max(1.0, abs(y0)):
-        raise ContractError(f"delta(y0)={row.delta} is not zero within tolerance")
-    if y1 >= 0.0:
-        raise ContractError("the shared map value y1 must be negative")
-    if abs(row.yL - y1) > DELTA_ZERO_TOL * max(1.0, abs(y1)):
-        raise ContractError("y1 does not match the half-map value at y0")
-    return row
-
-
-def sign_delta_prime_at_zero(ctx: DisplacementContext, y0: float, y1: float) -> int:
-    """sign(delta'(y0)) at a zero of delta, from the closed-form F."""
-    _require_zero(ctx, y0, y1)
-    return _sign(f_value(ctx, y0, y1))
-
-
-def sign_delta_second_at_critical(ctx: DisplacementContext, y0: float,
-                                  y1: float) -> tuple[int, int]:
-    """Both closed-form expressions for sign(delta''(y0)) at a critical zero.
-
-    The two components agree whenever the hypotheses hold; both are returned
-    so callers can assert the agreement.
-    """
-    row = _require_zero(ctx, y0, y1)
-    dp = halfmap.slope(ctx.right, y0, row.yR) - halfmap.slope(ctx.left, y0, row.yL)
-    if abs(dp) > DELTA_PRIME_TOL * max(1.0, abs(y0)):
-        raise ContractError(f"delta'(y0)={dp} is not zero within tolerance")
-    first = _sign(ctx.left.T * (ctx.c2 * y0 + ctx.c0))
-    second = -_sign(ctx.right.T * (ctx.c2 * y1 + ctx.c0))
-    return first, second
+def sign_delta_prime_at_zero(ctx: DisplacementContext, row: ScanRow) -> int | None:
+    """sign(delta') at the row from the closed-form F, with no solve; None
+    unless b = 0, y0 > lam, yL < 0 and delta = 0 within DELTA_ZERO_TOL (a
+    NaN delta is no zero)."""
+    y0, y1 = row.y0, row.yL
+    if not (ctx.b == 0.0 and y0 > ctx.lam and y1 < 0.0
+            and abs(row.delta) <= DELTA_ZERO_TOL * max(1.0, abs(y0))):
+        return None
+    f = ctx.c0 + ctx.c1 * y0 * y1 + ctx.c2 * (y0 + y1)
+    return (f > 0.0) - (f < 0.0)
 
 
 def scan_window(ctx: DisplacementContext, *, span: float | None = None) -> tuple[float, float]:
@@ -211,32 +174,20 @@ def scan(ctx: DisplacementContext, grid_n: int, *,
     rounding where that is wider, and raises the same error where evaluate
     raises.
     """
-    if grid_n < 2:
-        raise PreconditionError("grid_n must be at least 2")
+    if not (isinstance(grid_n, int) and grid_n >= 2):
+        raise PreconditionError("grid_n must be an int of at least 2")
     lo, hi = scan_window(ctx, span=span)
     step = (hi - lo) / grid_n
     left, right, b = ctx.left, ctx.right, ctx.b
+    lam_r = halfmap.domain(right).lam   # the right map's floor, as in _row
     after = halfmap._evaluate_after
     rows, y0p, yl, yr = [], math.nan, math.nan, math.nan
     for y0 in (lo + i * step for i in range(grid_n)):
-        yr = after(right, y0 - b, y0p - b, yr)
+        yr = after(right, max(y0 - b, lam_r), y0p - b, yr)
         yl = after(left, y0, y0p, yl)
         rows.append(ScanRow(y0, yl, yr, yr + b - yl))
         y0p = y0
     return ScanRecord(lo, hi, tuple(rows))
-
-
-def zero_signs(ctx: DisplacementContext, record: ScanRecord) -> list[int | None]:
-    """sign(delta') from F at each row; None where a hypothesis fails.
-
-    The hypotheses are those of sign_delta_prime_at_zero, read off the row:
-    b = 0, y0 > lam, delta = 0 within DELTA_ZERO_TOL, a negative map value.
-    """
-    return [_sign(f_value(ctx, r.y0, r.yL))
-            if (ctx.b == 0.0 and r.y0 > ctx.lam and r.yL < 0.0
-                and abs(r.delta) <= DELTA_ZERO_TOL * max(1.0, abs(r.y0)))
-            else None
-            for r in record.rows]
 
 
 def find_crossing_orbits(ctx: DisplacementContext,

@@ -17,10 +17,6 @@ class EmptyDomainError(PwlError):
     """Raised when an operation needs a nonempty common half-map domain."""
 
 
-class ContractError(PwlError):
-    """Raised when a stated numerical hypothesis fails beyond tolerance."""
-
-
 class PreconditionError(PwlError):
     """Raised when a structural precondition is violated."""
 

@@ -197,8 +197,8 @@ def sample_trajectory(z: ZoneFlow, x0: float, y0: float, duration: float,
                       n: int) -> list[tuple[float, float, float]]:
     """(t, x, y) samples at n equally spaced times in [0, duration]; each is
     (t, *flow(z, x0, y0, t)) bit for bit."""
-    if n < 2:
-        raise PreconditionError("need at least two samples")
+    if not (isinstance(n, int) and n >= 2):
+        raise PreconditionError("n must be an int of at least 2")
     at = _Orbit(z, x0, y0).at
     return [(t, *at(t)) for t in [duration * i / (n - 1) for i in range(n)]]
 

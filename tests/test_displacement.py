@@ -1,5 +1,6 @@
 """Displacement function, its coefficients, zero scan and derivative signs."""
 
+import dataclasses
 import math
 import random
 
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwlannulus import (CanonicalSystem, ContractError, DomainError,
-                        EmptyDomainError, HalfSystem, Orientation, OrbitKind,
-                        PreconditionError, PwlError, annulus_family, delta, derivative,
-                        domain, evaluate, f_value, find_crossing_orbits, from_canonical,
-                        halfmap, make_context, sign_delta_prime_at_zero,
-                        sign_delta_second_at_critical, to_canonical, verify_periodic)
+from pwlannulus import (CanonicalSystem, DomainError, EmptyDomainError, HalfSystem,
+                        Orientation, OrbitKind, PreconditionError, PwlError, SystemParams,
+                        annulus_family, delta, derivative, domain, evaluate,
+                        find_crossing_orbits, from_canonical, halfmap, make_context,
+                        sign_delta_prime_at_zero, to_canonical, verify_periodic)
 from pwlannulus import displacement
 from pwlannulus.displacement import (REFINE_WIDTH, CrossingOrbit, ScanRecord, ScanRow,
                                       orbits_from_scan, scan, scan_window)
@@ -326,8 +326,36 @@ def test_scan_finds_one_annulus_on_family_members(family):
 
 def test_scan_rejects_tiny_grid():
     ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^grid_n must be an int of at least 2$"):
         find_crossing_orbits(ctx, 1)
+
+
+@pytest.mark.parametrize("grid_n", [64.0, math.nan, "64", None])
+def test_scan_refuses_a_count_that_is_not_an_int(grid_n):
+    ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
+    for call in (find_crossing_orbits, scan):
+        with pytest.raises(PreconditionError, match="^grid_n must be an int of at least 2$"):
+            call(ctx, grid_n)
+
+
+def test_scan_solves_row_0_where_lam_minus_b_rounds_below_the_right_lam():
+    # near-annulus draw 213 (seed 7) with every raw entry negated (time
+    # reversal): lam = lam_R + b rounds, and lam - b rounds back below lam_R,
+    # so the right map is solved at lam_R itself
+    p = SystemParams(-8.821978765102038, 1.0, -52.05868999158109, -0.0,
+                     1.4733676407044458, 1.0, -1.4520563612338417, -0.0,
+                     -0.0, -0.0, 2.0819505364597692e-07, 1.373262558342873e-10)
+    canon = to_canonical(p)
+    ctx = make_context(canon.left, canon.right, canon.b)
+    lam_r = domain(ctx.right).lam
+    assert ctx.lam - ctx.b < lam_r
+    row = scan(ctx, 64).rows[0]
+    assert row == displacement._row(ctx, ctx.lam)
+    assert row.yR == evaluate(ctx.right, lam_r)
+    assert find_crossing_orbits(ctx, 64) == []
+    # the unreversed draw scans to no orbit as well
+    canon = to_canonical(SystemParams(*(-x for x in dataclasses.astuple(p))))
+    assert find_crossing_orbits(make_context(canon.left, canon.right, canon.b), 64) == []
 
 
 # -- warm-started scan rows ---------------------------------------------------
@@ -494,16 +522,16 @@ def test_scan_makes_the_pinned_number_of_residual_evaluations(monkeypatch):
 # -- derivative signs ---------------------------------------------------------
 
 def test_f_value_arithmetic():
-    ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
-    assert f_value(ctx, 1.0, -1.0) == ctx.c0 - ctx.c1 + 0.0 * ctx.c2
-    # with coefficients (2, 3, 5): F(1, -1) = 2 - 3 + 0 < 0
-    assert 2.0 + 3.0 * (1.0 * -1.0) + 5.0 * (1.0 + -1.0) == -1.0
+    # F(y0, y1) = c0 + c1*y0*y1 + c2*(y0 + y1) with coefficients (2, 3, 5)
+    ctx = dataclasses.replace(ctx_of(ISO_LEFT, ISO_RIGHT), c0=2.0, c1=3.0, c2=5.0)
+    # F(1, -1) = -1, F(1, -0.5) = 3 and F(1, -0.875) = 0, each exact
+    for y0, y1, want in ((1.0, -1.0, -1), (1.0, -0.5, 1), (1.0, -0.875, 0)):
+        assert sign_delta_prime_at_zero(ctx, ScanRow(y0, y1, y1, 0.0)) == want
 
 
 def test_sign_prime_at_isolated_zero_matches_finite_difference():
     ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
-    y1 = evaluate(ISO_LEFT, ISO_ZERO)
-    got = sign_delta_prime_at_zero(ctx, ISO_ZERO, y1)
+    got = sign_delta_prime_at_zero(ctx, displacement._row(ctx, ISO_ZERO))
     step = 1e-4
     fd = (delta(ctx, ISO_ZERO + step) - delta(ctx, ISO_ZERO - step)) / (2 * step)
     assert got == (1 if fd > 0 else -1)
@@ -516,9 +544,7 @@ def test_sign_prime_at_isolated_zero_matches_finite_difference():
 def test_sign_prime_degenerate_family_is_zero():
     # proportional W's make every coefficient vanish, so F == 0
     ctx = ctx_of(HalfSystem(-1, -1, 1), HalfSystem(1, 1, 1, orientation=BWD))
-    y0 = ctx.lam + 1.0
-    y1 = evaluate(ctx.left, y0)
-    assert sign_delta_prime_at_zero(ctx, y0, y1) == 0
+    assert sign_delta_prime_at_zero(ctx, displacement._row(ctx, ctx.lam + 1.0)) == 0
 
 
 def test_f_sign_reads_zero_on_annulus_members():
@@ -535,25 +561,24 @@ def test_f_sign_reads_zero_on_annulus_members():
             record = scan(ctx, 64)
         except PwlError:
             continue
-        assert set(displacement.zero_signs(ctx, record)) <= {None, 0}, canon
+        assert {sign_delta_prime_at_zero(ctx, r) for r in record.rows} <= {None, 0}, canon
         scanned += 1
     assert scanned >= 290
     canon = to_canonical(annulus_family(1.0, 1.0, 1.0, 2.0))
     ctx = make_context(canon.left, canon.right, canon.b)
     assert (ctx.c0, ctx.c1, ctx.c2) == (0.0, 0.0, 0.0)
-    y0 = ctx.lam + 1.0
-    y1 = evaluate(ctx.left, y0)
-    assert sign_delta_prime_at_zero(ctx, y0, y1) == 0
-    assert sign_delta_second_at_critical(ctx, y0, y1) == (0, 0)
+    assert sign_delta_prime_at_zero(ctx, displacement._row(ctx, ctx.lam + 1.0)) == 0
     # an isolated orbit's coefficients are no residues and keep their sign
     ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
-    assert sign_delta_prime_at_zero(ctx, ISO_ZERO, evaluate(ISO_LEFT, ISO_ZERO)) == 1
+    assert sign_delta_prime_at_zero(ctx, displacement._row(ctx, ISO_ZERO)) == 1
 
 
 def test_sign_prime_requires_zero():
+    # a row with delta != 0 reads None
     ctx = ctx_of(HalfSystem(0, 1, 1), HalfSystem(0, 1, 1, orientation=BWD))
-    with pytest.raises(ContractError):
-        sign_delta_prime_at_zero(ctx, 1.0, evaluate(ctx.left, 1.0))
+    row = displacement._row(ctx, 1.0)
+    assert abs(row.delta) > 0.1
+    assert sign_delta_prime_at_zero(ctx, row) is None
 
 
 @pytest.mark.parametrize("y0, y1, message", [
@@ -563,57 +588,36 @@ def test_sign_prime_requires_zero():
     (2.0, -2.5, "y1 does not match the half-map value at y0"),
 ])
 def test_sign_helpers_refuse_a_point_that_is_not_a_zero_with_its_map_value(y0, y1, message):
-    # every point of the k = 1 family is a zero of delta, with yL = -2 at y0 = 2
+    # every point of the k = 1 family is a zero of delta, with yL = -2 at y0 = 2;
+    # the right map is y0 -> -y0 exactly, so the row with left value y1 breaks
+    # the named hypothesis and reads None
     ctx = ctx_of(HalfSystem(-1, 0, 1), HalfSystem(1, 0, 1, orientation=BWD))
-    for helper in (sign_delta_prime_at_zero, sign_delta_second_at_critical):
-        with pytest.raises(ContractError) as err:
-            helper(ctx, y0, y1)
-        assert str(err.value) == message
+    assert sign_delta_prime_at_zero(ctx, ScanRow(y0, y1, -y0, -y0 - y1)) is None, message
+
+
+def test_sign_prime_is_none_on_the_row_at_lam_and_on_a_nan_delta():
+    # lam > 0: the row at lam is a fold orbit, whatever its delta reads
+    ctx = ctx_of(HalfSystem(-1.0, -0.5, 1.0), HalfSystem(1.0, 0.5, 1.0, orientation=BWD))
+    assert ctx.lam > 0.0
+    rows = scan(ctx, 16).rows
+    assert sign_delta_prime_at_zero(ctx, rows[0]) is None
+    assert sign_delta_prime_at_zero(ctx, rows[0]._replace(yL=-1.0, delta=0.0)) is None
+    assert sign_delta_prime_at_zero(ctx, rows[1]) == 0   # an annulus member: F == 0
+    assert sign_delta_prime_at_zero(ctx, rows[1]._replace(delta=math.nan)) is None
 
 
 def test_sign_prime_requires_unshifted_context():
+    # a row of a context with b != 0 reads None, even one that reads as a zero
     ctx = ctx_of(HalfSystem(-1, 0, 1), HalfSystem(1, 0, 1, orientation=BWD), b=0.5)
-    with pytest.raises(PreconditionError):
-        sign_delta_prime_at_zero(ctx, 1.0, -1.0)
+    row = displacement._row(ctx, 1.0)._replace(delta=0.0)
+    assert sign_delta_prime_at_zero(ctx, row) is None
 
 
-def test_sign_second_zero_trace_component():
-    # TL = 0 kills the first component; the family is the symmetric annulus
-    ctx = ctx_of(HalfSystem(-1, 0, 1), HalfSystem(1, 0, 1, orientation=BWD))
-    y0 = 2.0
-    y1 = evaluate(ctx.left, y0)
-    first, second = sign_delta_second_at_critical(ctx, y0, y1)
-    assert first == 0
-    assert second == 0
-
-
-def test_sign_second_pair_equality_on_family_critical_points(rng):
-    # every interior point of an annulus family is a critical zero
-    for k in (0.5, 2.7):
-        rk = math.sqrt(k)
-        right = HalfSystem(1.2, 0.7, 1.1, orientation=BWD)
-        left = HalfSystem(-rk * right.a, -rk * right.T, k * right.D)
-        ctx = ctx_of(left, right)
-        for _ in range(3):
-            y0 = ctx.lam + rng.uniform(0.5, 5.0)
-            y1 = evaluate(left, y0)
-            first, second = sign_delta_second_at_critical(ctx, y0, y1)
-            assert first == second
-
-
-def test_sign_second_requires_critical_zero():
-    ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
-    y1 = evaluate(ISO_LEFT, ISO_ZERO)
-    with pytest.raises(ContractError):
-        sign_delta_second_at_critical(ctx, ISO_ZERO, y1)  # delta' != 0 here
-
-
-@pytest.mark.parametrize("helper", [sign_delta_prime_at_zero, sign_delta_second_at_critical])
+@pytest.mark.parametrize("helper", [sign_delta_prime_at_zero])
 def test_sign_helpers_solve_each_map_once(helper, monkeypatch):
-    # every point of the k = 1 family is a critical zero, so both helpers pass
+    # the row holds both map values, solved once each; the helper solves none
     ctx = ctx_of(HalfSystem(-1, -1, 1), HalfSystem(1, 1, 1, orientation=BWD))
-    y0 = ctx.lam + 1.0
-    y1 = evaluate(ctx.left, y0)
+    row = displacement._row(ctx, ctx.lam + 1.0)
     calls = []
     evaluate_ = halfmap.evaluate
 
@@ -622,18 +626,9 @@ def test_sign_helpers_solve_each_map_once(helper, monkeypatch):
         return evaluate_(h, y)
 
     monkeypatch.setattr(halfmap, "evaluate", counted)
-    helper(ctx, y0, y1)
-    assert len(calls) == 2
-
-
-def test_sign_second_checks_the_exact_slope_difference():
-    # the slopes come from the checked row, bit for bit the two derivatives
-    ctx = ctx_of(ISO_LEFT, ISO_RIGHT)
-    y1 = evaluate(ISO_LEFT, ISO_ZERO)
-    with pytest.raises(ContractError) as err:
-        sign_delta_second_at_critical(ctx, ISO_ZERO, y1)
-    dp = derivative(ISO_RIGHT, ISO_ZERO) - derivative(ISO_LEFT, ISO_ZERO)
-    assert str(err.value) == f"delta'(y0)={dp} is not zero within tolerance"
+    residuals = count_residual_calls(monkeypatch)
+    assert helper(ctx, row) == 0
+    assert calls == [] and residuals[0] == 0
 
 
 def test_delta_smooth_on_interior(rng):
@@ -660,7 +655,7 @@ def test_annulus_candidate_confirmed_by_flow(rng):
 
 def test_sign_prime_matches_finite_difference_on_random_zeros(rng):
     """Every numerically found simple zero agrees with the derivative sign."""
-    found = 0
+    found = slopes = 0
     for _ in range(100):
         aR = rng.uniform(0.5, 2.5)
         DR = rng.uniform(0.8, 1.8)
@@ -670,14 +665,19 @@ def test_sign_prime_matches_finite_difference_on_random_zeros(rng):
         orbits = [o for o in orbits_from_scan(ctx, scan(ctx, 48, span=12.0))
                   if o.kind is OrbitKind.ISOLATED]
         for orbit in orbits:
-            y1 = evaluate(left, orbit.y0)
-            if y1 >= 0.0:
+            row = displacement._row(ctx, orbit.y0)
+            if row.yL >= 0.0:
                 continue
-            got = sign_delta_prime_at_zero(ctx, orbit.y0, y1)
+            got = sign_delta_prime_at_zero(ctx, row)
+            # sign(F) is the sign of the closed-form slope difference
+            dp = (halfmap.slope(right, orbit.y0, row.yR)
+                  - halfmap.slope(left, orbit.y0, row.yL))
+            assert got == (dp > 0.0) - (dp < 0.0), (left, right, orbit)
+            slopes += 1
             step = 1e-5 * max(1.0, orbit.y0)
             fd = (delta(ctx, orbit.y0 + step) - delta(ctx, orbit.y0 - step)) / (2 * step)
             if abs(fd) < 1e-7:
                 continue  # too flat for a trustworthy reference sign
             assert got == (1 if fd > 0 else -1), (left, right, orbit)
             found += 1
-    assert found >= 10
+    assert found >= 10 and slopes >= found

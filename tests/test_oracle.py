@@ -91,9 +91,9 @@ def test_sample_trajectory_shape():
     assert pts[-1][0] == 1.5
 
 
-@pytest.mark.parametrize("n", [1, 0, -3])
+@pytest.mark.parametrize("n", [1, 0, -3, 8.0, "8", math.nan])
 def test_sample_trajectory_needs_two_samples(n):
-    with pytest.raises(PreconditionError, match="^need at least two samples$"):
+    with pytest.raises(PreconditionError, match="^n must be an int of at least 2$"):
         sample_trajectory(ZoneFlow(T=0.0, D=1.0, a=-1.0), 0.0, 1.0, 1.5, n)
 
 

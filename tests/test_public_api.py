@@ -16,11 +16,11 @@ def test_all_is_exactly_the_public_names():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(names) == len(set(names))
     assert set(names) == bound
-    assert len(names) == 46
+    assert len(names) == 43
 
 
 def test_version_matches_pyproject():
     # tomllib is not in Python 3.10, the oldest version pyproject.toml allows
     match = re.search(r'(?m)^version\s*=\s*"([^"]+)"', PYPROJECT.read_text(encoding="utf-8"))
     assert match is not None
-    assert pwlannulus.__version__ == match.group(1) == "0.6.0"
+    assert pwlannulus.__version__ == match.group(1) == "0.7.0"

@@ -26,10 +26,10 @@ holds this file) and writes one JSON object per line, in a fixed order:
   displacement.delta from outside) and how many residual evaluations the
   whole call made, its scan included (counted as for the map records), or
   the error the context raised;
-- kind "sign": the results of sign_delta_prime_at_zero and
-  sign_delta_second_at_critical at zeros and at points that break a
-  hypothesis, keyed by context and point index, so that a moved zero is a
-  changed float, not a new record;
+- kind "sign": sign_delta_prime_at_zero on each row of scan(ctx, 64) and
+  on the row (displacement._row) of each zero find_crossing_orbits refines,
+  in six fixed contexts, keyed by context and row or zero index, so that a
+  moved zero is a changed float, not a new record;
 - kind "crossing": repr of oracle.next_crossing, or the error it raised, on
   seeded zones of each flow branch (complex pair, real roots, double root,
   D = 0, D = T = 0), b = 0 and b != 0, in both directions, one start in
@@ -432,6 +432,8 @@ def _zero_records(pw):
 
 
 def _sign_records(pw):
+    from pwlannulus import displacement
+
     bwd = pw.Orientation.BACKWARD
     contexts = [
         ("isolated", pw.HalfSystem(-1.0, 0.5, 1.0), pw.HalfSystem(2.0, -0.5, 1.3, bwd), 0.0),
@@ -444,19 +446,12 @@ def _sign_records(pw):
     ]
     for name, left, right, b in contexts:
         ctx = pw.make_context(left, right, b)
-        points = [ctx.lam, ctx.lam + 0.5, ctx.lam + 1.0, ctx.lam + 2.5, ctx.lam + 7.0]
-        points += [o.y0 for o in pw.find_crossing_orbits(ctx, 64)]
-        for i, y0 in enumerate(points):
-            try:
-                y1s = [pw.evaluate(left, y0)]
-            except pw.PwlError:
-                y1s = [-1.0]
-            y1s += [y1s[0] * (1.0 + 1e-3), 0.5]
-            for j, y1 in enumerate(y1s):
-                yield {"kind": "sign", "key": f"{name} point {i} y1 {j}",
-                       "y0": repr(y0), "y1": repr(y1),
-                       "prime": _outcome(pw.sign_delta_prime_at_zero, ctx, y0, y1),
-                       "second": _outcome(pw.sign_delta_second_at_critical, ctx, y0, y1)}
+        rows = [(f"row {i}", r) for i, r in enumerate(displacement.scan(ctx, 64).rows)]
+        rows += [(f"zero {i}", displacement._row(ctx, o.y0))
+                 for i, o in enumerate(pw.find_crossing_orbits(ctx, 64))]
+        for key, row in rows:
+            yield {"kind": "sign", "key": f"{name} {key}", "y0": repr(row.y0),
+                   "prime": _outcome(pw.sign_delta_prime_at_zero, ctx, row)}
 
 
 CROSSINGS_PER_BRANCH = 60
