@@ -23,13 +23,10 @@ violations and other typed PwlErrors, printed as "error: <class>: <message>".
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import random
-import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -90,8 +87,8 @@ def parse_config(argv) -> argparse.Namespace:
                         help="subcommand to run")
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                         help=f"tolerance override, names: {', '.join(TOL_NAMES)}")
-    parser.add_argument("--grid", type=int, default=_env("GRID") or 64,
-                        help="grid size (default 64)")
+    parser.add_argument("--grid", type=int, default=_env("GRID") or displacement.DEFAULT_GRID,
+                        help=f"grid size (default {displacement.DEFAULT_GRID})")
     parser.add_argument("--span", type=float, default=_env("SPAN"),
                         help="scan span / sweep perturbation half-width")
     parser.add_argument("--seed", type=int, default=_env("SEED") or 0,
@@ -162,21 +159,16 @@ def _load_params(path: str) -> SystemParams:
 # -- emission ----------------------------------------------------------------
 #
 # A table is written in one piece from a row template built once from its
-# header.  A column whose cells all print as their repr fills a %r slot in
-# C; any other column is converted cell by cell first.  The bytes are those
-# of json.dumps({**head, "rows": [dict(zip(header, r)) for r in rows],
-# **tail}, indent=2) + "\n", and of csv.writer(out, lineterminator="\n")
-# writing the header and the rows.
-
-_CSV_REPR = {float, int, bool}   # csv.writer prints repr(float) and str(int), str(bool)
-_CSV_QUOTED = re.compile('[,"\r\n]')
-
-
-def _plain(col) -> bool:
-    """Whether json writes every cell of col as its repr: all ints, or all
-    finite floats."""
-    kinds = set(map(type, col))
-    return kinds == {int} or kinds == {float} and all(map(math.isfinite, col))
+# header, whose names need no quoting.  Its cells are None, ints, floats
+# (finite or not), strings this module names (verdicts, record names,
+# pass/fail/"", left/right), none of which csv.writer quotes, and in json
+# only sweep's params, a list of finite floats.  One column rule serves both
+# formats: a column whose cells all print as their repr fills a %r slot; a
+# column of strings fills a %s slot, each quoted for json and as it is for
+# csv; any other column is converted cell by cell.  The bytes are those of
+# json.dumps({**head, "rows": [dict(zip(header, r)) for r in rows], **tail},
+# indent=2) + "\n", and of csv.writer(out, lineterminator="\n") writing the
+# header and the rows.
 
 
 def _json_cell(v) -> str:
@@ -189,24 +181,32 @@ def _json_cell(v) -> str:
         return "NaN" if v != v else "Infinity" if v > 0.0 else "-Infinity"
     if isinstance(v, str):
         return encode_basestring_ascii(v)
-    if isinstance(v, (list, tuple)) and v and _plain(v):   # sweep's params
+    if isinstance(v, list):   # sweep's params
         return "[\n        " + ",\n        ".join(map(repr, v)) + "\n      ]"
-    if isinstance(v, (list, tuple, dict)):
-        return json.dumps(v, indent=2).replace("\n", "\n      ")
-    return json.dumps(v)
+    return repr(v)
 
 
-def _json_column(col) -> tuple[str, list]:
-    if _plain(col):
-        return "%r", col
-    if set(map(type, col)) == {str}:
-        return "%s", list(map(encode_basestring_ascii, col))
-    return "%s", list(map(_json_cell, col))
+def _csv_cell(v) -> str:
+    return "" if v is None else str(v)   # str(float) is its repr, as csv.writer writes it
 
 
-def _rows_of(cols, n: int):
-    """The rows of a transposed table; n empty rows when it has no columns."""
-    return zip(*cols) if cols else [()] * n
+def _slots(rows, plain, string, cell):
+    """Each column's slot and the rows that fill them, by the rule above: plain
+    tells a %r column, string and cell convert the cells of any other."""
+    slots, cols = [], []
+    for col in zip(*rows):
+        kinds = set(map(type, col))
+        if plain(kinds, col):
+            slots.append("%r")
+        else:
+            slots.append("%s")
+            col = list(map(string if kinds == {str} else cell, col))
+        cols.append(col)
+    return slots, zip(*cols)
+
+
+def _json_plain(kinds, col) -> bool:
+    return kinds == {int} or kinds == {float} and all(map(math.isfinite, col))
 
 
 def _json_table(header, rows, head=None, tail=None) -> str:
@@ -216,56 +216,21 @@ def _json_table(header, rows, head=None, tail=None) -> str:
     end = ("," + json.dumps(tail, indent=2)[1:-2] if tail else "") + "\n}\n"
     if not rows:
         return start + "[]" + end
-    slots = [_json_column(col) for col in zip(*rows)]
+    slots, cells = _slots(rows, _json_plain, encode_basestring_ascii, _json_cell)
     template = "    {\n" + ",\n".join(
-        f"      {encode_basestring_ascii(name).replace('%', '%%')}: {fmt}"
-        for name, (fmt, _) in zip(header, slots)) + "\n    }" if header else "    {}"
-    body = ",\n".join(map(template.__mod__, _rows_of([col for _, col in slots], len(rows))))
-    return "".join((start, "[\n", body, "\n  ]", end))
-
-
-def _csv_line(row) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(row)
-    return buf.getvalue()
+        f'      "{name}": {slot}' for name, slot in zip(header, slots)) + "\n    }"
+    return "".join((start, "[\n", ",\n".join(map(template.__mod__, cells)), "\n  ]", end))
 
 
 def _csv_table(header, rows) -> str:
-    """The header and the rows as csv.writer writes them; a row with a cell
-    that needs quoting, or that is not a number, a string or None, is left
-    to csv.writer."""
-    cols, fmts, odd = [], [], set()
-    wide = len(header) > 1   # a lone empty field is written ""
-    for col in zip(*rows):
-        kinds = set(map(type, col))
-        fmts.append("%r" if kinds <= _CSV_REPR else "%s")
-        if kinds <= _CSV_REPR or (kinds == {str} and not _CSV_QUOTED.search("".join(col))
-                                  and (wide or all(col))):
-            cols.append(col)
-            continue
-        cells = []
-        for i, v in enumerate(col):
-            if type(v) in _CSV_REPR:
-                v = repr(v)
-            elif v is None:
-                v = ""
-            elif type(v) is not str or _CSV_QUOTED.search(v):
-                odd.add(i)
-            if not (wide or v):
-                odd.add(i)
-            cells.append(v)
-        cols.append(cells)
-    lines = [_csv_line(header)]
-    lines += map((",".join(fmts) + "\n").__mod__, _rows_of(cols, len(rows)))
-    for i in odd:
-        lines[i + 1] = _csv_line(rows[i])
-    return "".join(lines)
+    """The header and the rows as csv.writer writes them."""
+    slots, cells = _slots(rows, lambda kinds, _: kinds <= {float, int}, str, _csv_cell)
+    return ",".join(header) + "\n" + "".join(map((",".join(slots) + "\n").__mod__, cells))
 
 
 def _emit_table(cfg: argparse.Namespace, out, header, rows, *, head=None, tail=None) -> None:
     """One write of the table: json keys the rows by the header between head
-    and tail; csv writes the header and the rows (a float as its repr, None
-    as an empty cell)."""
+    and tail; csv writes the header and the rows (None as an empty cell)."""
     out.write(_json_table(header, rows, head, tail) if cfg.output_format == "json"
               else _csv_table(header, rows))
 

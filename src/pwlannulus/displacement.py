@@ -138,8 +138,8 @@ def sign_delta_prime_at_zero(ctx: DisplacementContext, row: ScanRow) -> int | No
 
 
 def scan_window(ctx: DisplacementContext, *, span: float | None = None) -> tuple[float, float]:
-    """[lo, hi) actually scanned: the domain, truncated to lam + span (finite
-    and positive; None: SPAN_FACTOR * max(1, lam)) and clear of a finite mu."""
+    """[lo, hi) actually scanned, never empty: the domain truncated to lam +
+    span (finite, positive; None: SPAN_FACTOR * max(1, lam)), clear of a finite mu."""
     if ctx.is_empty:
         raise EmptyDomainError("the common half-map domain is empty")
     if span is None:
@@ -150,6 +150,8 @@ def scan_window(ctx: DisplacementContext, *, span: float | None = None) -> tuple
     if math.isfinite(ctx.mu):
         # stand clear of the ill-conditioned upper endpoint
         hi = min(hi, ctx.mu - 1e-4 * (ctx.mu - ctx.lam))
+    if not ctx.lam < hi:
+        raise PreconditionError("span is below the resolution of lam: the scan window is empty")
     return ctx.lam, hi
 
 

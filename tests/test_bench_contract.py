@@ -1,8 +1,9 @@
 """What the benchmark in pwlbench/ relies on of the package.
 
-The names pwlbench/tracing.py wraps and the csv headers pwlbench/workloads.py
-checks are read from their source with ast.literal_eval, so pwlbench is
-neither imported nor changed here.
+The names pwlbench/tracing.py wraps, the csv headers pwlbench/workloads.py
+checks and every package name pwlbench/*.py imports or reads off an imported
+package module are read from their source with ast, so pwlbench is neither
+imported nor changed here.
 """
 
 import ast
@@ -10,6 +11,7 @@ import importlib
 import io
 import json
 import pathlib
+import types
 
 import pytest
 
@@ -49,3 +51,37 @@ def test_every_csv_header_is_the_pinned_one(command, tmp_path):
                             "--grid", "8"])
     assert cli.run(cfg, out) == 0
     assert out.getvalue().splitlines()[0] == ",".join(headers[command])
+
+
+def _package_uses():
+    """(module, name) for each name pwlbench/*.py imports from a pwlannulus
+    module, and for each attribute it reads off a pwlannulus module it binds."""
+    imported, read = set(), set()
+    for path in sorted(PWLBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}   # local name -> the pwlannulus module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pwlannulus"):
+                for alias in node.names:
+                    imported.add((node.module, alias.name))
+                    value = getattr(importlib.import_module(node.module), alias.name, None)
+                    if isinstance(value, types.ModuleType):
+                        modules[alias.asname or alias.name] = value.__name__
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "pwlannulus":   # a.b binds a; a.b as c, c
+                        modules[alias.asname or "pwlannulus"] = (alias.name if alias.asname
+                                                                 else "pwlannulus")
+        read |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules}
+    return imported, read
+
+
+def test_every_package_name_pwlbench_reads_exists():
+    imported, read = _package_uses()
+    assert ("pwlannulus.cli", "COMMANDS") in imported and ("pwlannulus.cli", "FORMATS") in read
+    missing = sorted(f"{module}.{name}" for module, name in imported | read
+                     if not hasattr(importlib.import_module(module), name))
+    assert missing == []
+

@@ -137,6 +137,16 @@ def test_q_overflow_exit(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: DomainError: q exceeds the double range\n"
 
 
+@pytest.mark.parametrize("command", ["halfmap", "displacement", "portrait"])
+def test_a_span_below_the_resolution_of_lam_exits_2(annulus_file, capsys, command):
+    # lam = 12.18...: lam + 1e-300 rounds to lam, so the scan window is
+    # empty; displacement reported an annulus candidate at the fold orbit
+    code, text = run_cli(["--input", annulus_file, "--cmd", command, "--span", "1e-300"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == ("error: PreconditionError: span is below the "
+                                       "resolution of lam: the scan window is empty\n")
+
+
 def test_typed_errors_name_their_class(tmp_path, capsys):
     # the lambda solve of the left map finds no upper bracket: a solver
     # failure, not a precondition
@@ -273,18 +283,33 @@ def test_portrait_with_an_infinite_equilibrium_exit(tmp_path, capsys):
     assert "zone equilibrium a/D exceeds the double range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["halfmap", "displacement", "portrait"])
-def test_csv_cells_are_the_json_values(annulus_file, command):
-    argv = ["--input", annulus_file, "--cmd", command, "--grid", "8"]
-    _, text = run_cli(argv)
-    _, table = run_cli(argv + ["--format", "csv"])
-    rows = json.loads(text)["rows"]
-    lines = table.splitlines()
-    assert lines[0].split(",") == list(rows[0])
-    assert len(lines) == len(rows) + 1
-    for line, row in zip(lines[1:], rows):
-        assert line.split(",") == ["" if v is None else repr(v) if isinstance(v, float)
-                                   else str(v) for v in row.values()]
+@pytest.mark.parametrize("system, command", [
+    *(pytest.param("annulus_file", c, id=c) for c in cli.COMMANDS),
+    *(pytest.param("raw_file", c, id=f"raw_file-{c}") for c in cli.COMMANDS)])
+def test_csv_cells_are_the_json_values(request, system, command):
+    # the csv table is csv.writer's bytes for the json document's rows, so
+    # no command writes a cell that the emitter's plain csv would misquote
+    argv = ["--input", request.getfixturevalue(system), "--cmd", command, "--grid", "8"]
+    code, text = run_cli(argv)
+    assert code == 0
+    doc = json.loads(text)
+    if command == "classify":
+        header = ("record", "value", "status")
+        rows = [("verdict", doc["verdict"], "")]
+        rows += [(r["name"], r["value"], "pass" if r["passed"] else "fail")
+                 for r in doc["records"]]
+        if doc["sliding"] is not None:
+            rows.append(("sliding", *doc["sliding"]))
+    else:
+        header = [k for k in doc["rows"][0] if k != "params"]
+        rows = [[row[k] for k in header] for row in doc["rows"]]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert run_cli(argv + ["--format", "csv"]) == (0, out.getvalue())
+    if system == "raw_file" and command == "classify":
+        assert out.getvalue().splitlines()[-1].startswith("sliding,")   # beta != 0
 
 
 def test_portrait_samples(annulus_file):
@@ -550,37 +575,45 @@ def test_canonical_refusal_names_the_first_bad_key_in_readme_order(tmp_path):
 _TEXT = st.text(st.sampled_from(["a", "Z", " ", "%", "s", ",", '"', "\\", "\n", "\r",
                                  "\t", "\x00", "\x1f", "\u00e9", "\u20ac", "\U0001f600"]),
                 max_size=5)
-_SCALAR = st.one_of(
-    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]),
-    st.none(), st.integers(), st.booleans(), _TEXT)
-_CELL = st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3),
-                  st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
-                           max_size=3),
-                  st.lists(st.integers(), min_size=1, max_size=3))
+_FLOAT = st.one_of(st.floats(),
+                   st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]))
+_SCALAR = st.one_of(_FLOAT, st.none(), st.integers(), st.booleans(), _TEXT)
+_VALUE = st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3),   # a head or tail value
+                   st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                            max_size=3),
+                   st.lists(st.integers(), min_size=1, max_size=3))
+# what the commands write in a cell: None, a number, a name csv.writer does
+# not quote, and in json only, sweep's params
+_NAME = st.from_regex(r"[a-z][a-z_]*", fullmatch=True)
+_CELL = st.one_of(_FLOAT, st.none(), st.integers(),
+                  st.from_regex(r"[a-z][a-z-]*", fullmatch=True), st.just(""))
+_PARAMS = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12)
 
 
 @st.composite
 def _tables(draw):
-    width = draw(st.integers(0, 4))
-    header = draw(st.lists(_TEXT, min_size=width, max_size=width, unique=True))
-    rows = draw(st.lists(st.tuples(*[_CELL] * width), max_size=5))
+    """A table, its head and tail, and the columns of params (json only)."""
+    width = draw(st.integers(2, 6))
+    header = draw(st.lists(_NAME, min_size=width, max_size=width, unique=True))
+    params = draw(st.sets(st.integers(0, width - 1), max_size=width - 2))
+    cells = [st.one_of(_CELL, _PARAMS) if i in params else _CELL for i in range(width)]
+    rows = draw(st.lists(st.tuples(*cells), max_size=5))
     keys = _TEXT.filter(lambda k: k != "rows")
-    head = draw(st.dictionaries(keys, _CELL, max_size=2))
-    tail = draw(st.dictionaries(keys.filter(lambda k: k not in head), _CELL, max_size=2))
-    return header, rows, head, tail
+    head = draw(st.dictionaries(keys, _VALUE, max_size=2))
+    tail = draw(st.dictionaries(keys.filter(lambda k: k not in head), _VALUE, max_size=2))
+    return header, rows, head, tail, params
 
 
 @given(_tables())
-@example(((), [(), ()], {}, {}))
-@example((("v",), [("left",), ("",)], {}, {}))   # a lone empty field is written ""
-@example((("leg", "t"), [("left", 0.5), ('a,"b"\n', 1.0)], {}, {}))   # csv quoting
 @example((("orbit", "leg", "t"), [(0, "left", 0.5), (1, "right", math.nan)],
-          {"domain": {"lam": 0.0, "mu": None}}, {"zeros": []}))
+          {"domain": {"lam": 0.0, "mu": None}}, {"zeros": []}, set()))
 @settings(max_examples=200)
 def test_table_emitter_writes_the_bytes_of_json_dumps_and_csv_writer(table):
-    header, rows, head, tail = table
+    header, rows, head, tail, params = table
     payload = {**head, "rows": [dict(zip(header, r)) for r in rows], **tail}
     assert cli._json_table(header, rows, head, tail) == json.dumps(payload, indent=2) + "\n"
+    kept = [i for i in range(len(header)) if i not in params]   # csv leaves params out
+    header, rows = [header[i] for i in kept], [[r[i] for i in kept] for r in rows]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)

@@ -163,6 +163,19 @@ def test_scan_refuses_a_span_not_finite_and_positive(span):
     assert scan_window(ctx, span=None) == scan_window(ctx)
 
 
+def test_scan_refuses_a_span_below_the_resolution_of_lam():
+    # lam = 12.18...: lam + 1e-300 rounds to lam, so the window [lam, lam) is
+    # empty; the scan printed grid_n copies of the row at lam
+    ctx = ctx_of(HalfSystem(-2.0, -2.0, 4.0), HalfSystem(1.0, 1.0, 1.0, orientation=BWD))
+    assert ctx.lam == 12.18574419033854
+    for call in (lambda: scan_window(ctx, span=1e-300), lambda: scan(ctx, 16, span=1e-300)):
+        with pytest.raises(PreconditionError, match="^span is below the resolution of lam: "
+                                                    "the scan window is empty$"):
+            call()
+    lo, hi = scan_window(ctx, span=ctx.lam * 1e-15)   # a few ulp: the window holds doubles
+    assert lo == ctx.lam < hi
+
+
 def test_scan_no_zeros_one_signed():
     ctx = ctx_of(HalfSystem(0, 1, 1), HalfSystem(0, 1, 1, orientation=BWD))
     assert find_crossing_orbits(ctx, 64) == []
